@@ -12,15 +12,22 @@ import (
 	"rocksteady/internal/wire"
 )
 
+// replicateOne applies one chunk to s as a one-chunk batch and returns the
+// chunk's status.
+func replicateOne(s *Store, master wire.ServerID, c wire.ReplicateChunk) wire.Status {
+	resp := s.HandleReplicateBatch(&wire.ReplicateBatchRequest{Master: master, Chunks: []wire.ReplicateChunk{c}})
+	return resp.ChunkStatuses[0]
+}
+
 func TestStoreReplicateAndFetch(t *testing.T) {
 	s := NewStore()
-	req := &wire.ReplicateSegmentRequest{Master: 5, LogID: 0, SegmentID: 1, Offset: 0, Data: []byte("hello")}
-	if st := s.HandleReplicate(req); st != wire.StatusOK {
+	req := wire.ReplicateChunk{LogID: 0, SegmentID: 1, Offset: 0, Data: []byte("hello")}
+	if st := replicateOne(s, 5, req); st != wire.StatusOK {
 		t.Fatalf("status %v", st)
 	}
 	// Incremental append.
-	req2 := &wire.ReplicateSegmentRequest{Master: 5, LogID: 0, SegmentID: 1, Offset: 5, Data: []byte(" world"), Close: true}
-	if st := s.HandleReplicate(req2); st != wire.StatusOK {
+	req2 := wire.ReplicateChunk{LogID: 0, SegmentID: 1, Offset: 5, Data: []byte(" world"), Close: true}
+	if st := replicateOne(s, 5, req2); st != wire.StatusOK {
 		t.Fatalf("status %v", st)
 	}
 	resp := s.HandleGetSegments(&wire.GetBackupSegmentsRequest{Master: 5})
@@ -38,35 +45,35 @@ func TestStoreReplicateAndFetch(t *testing.T) {
 
 func TestStoreRejectsGapsAndClosedWrites(t *testing.T) {
 	s := NewStore()
-	base := &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Offset: 0, Data: []byte("abc")}
-	if st := s.HandleReplicate(base); st != wire.StatusOK {
+	base := wire.ReplicateChunk{SegmentID: 1, Offset: 0, Data: []byte("abc")}
+	if st := replicateOne(s, 1, base); st != wire.StatusOK {
 		t.Fatal(st)
 	}
 	// Gap: offset beyond current length.
-	gap := &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Offset: 10, Data: []byte("x")}
-	if st := s.HandleReplicate(gap); st == wire.StatusOK {
+	gap := wire.ReplicateChunk{SegmentID: 1, Offset: 10, Data: []byte("x")}
+	if st := replicateOne(s, 1, gap); st == wire.StatusOK {
 		t.Error("gap accepted")
 	}
 	// Idempotent prefix rewrite is fine.
-	dup := &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Offset: 0, Data: []byte("abcde")}
-	if st := s.HandleReplicate(dup); st != wire.StatusOK {
+	dup := wire.ReplicateChunk{SegmentID: 1, Offset: 0, Data: []byte("abcde")}
+	if st := replicateOne(s, 1, dup); st != wire.StatusOK {
 		t.Error("prefix rewrite rejected")
 	}
 	// Close, then further data is rejected.
-	cls := &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Offset: 5, Close: true}
-	if st := s.HandleReplicate(cls); st != wire.StatusOK {
+	cls := wire.ReplicateChunk{SegmentID: 1, Offset: 5, Close: true}
+	if st := replicateOne(s, 1, cls); st != wire.StatusOK {
 		t.Error("close rejected")
 	}
-	late := &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Offset: 5, Data: []byte("zz")}
-	if st := s.HandleReplicate(late); st == wire.StatusOK {
+	late := wire.ReplicateChunk{SegmentID: 1, Offset: 5, Data: []byte("zz")}
+	if st := replicateOne(s, 1, late); st == wire.StatusOK {
 		t.Error("write after close accepted")
 	}
 }
 
 func TestStoreDrop(t *testing.T) {
 	s := NewStore()
-	s.HandleReplicate(&wire.ReplicateSegmentRequest{Master: 1, SegmentID: 1, Data: []byte("a")})
-	s.HandleReplicate(&wire.ReplicateSegmentRequest{Master: 2, SegmentID: 1, Data: []byte("b")})
+	replicateOne(s, 1, wire.ReplicateChunk{SegmentID: 1, Data: []byte("a")})
+	replicateOne(s, 2, wire.ReplicateChunk{SegmentID: 1, Data: []byte("b")})
 	s.Drop(1)
 	if resp := s.HandleGetSegments(&wire.GetBackupSegmentsRequest{Master: 1}); len(resp.Segments) != 0 {
 		t.Error("drop incomplete")
@@ -81,9 +88,7 @@ func TestStoreThrottle(t *testing.T) {
 	s.WriteBandwidth = 1 << 20 // 1 MB/s
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		s.HandleReplicate(&wire.ReplicateSegmentRequest{
-			Master: 1, SegmentID: uint64(i), Data: make([]byte, 256<<10),
-		})
+		replicateOne(s, 1, wire.ReplicateChunk{SegmentID: uint64(i), Data: make([]byte, 256<<10)})
 	}
 	// 1 MB at 1 MB/s should take close to a second.
 	if el := time.Since(start); el < 500*time.Millisecond {
@@ -112,8 +117,6 @@ func newBackupRig(t *testing.T, nBackups, factor int) *backupRig {
 		node := transport.NewNode(f.Attach(id))
 		node.SetHandler(func(m *wire.Message) {
 			switch req := m.Body.(type) {
-			case *wire.ReplicateSegmentRequest:
-				node.Reply(m, &wire.ReplicateSegmentResponse{Status: store.HandleReplicate(req)})
 			case *wire.ReplicateBatchRequest:
 				node.Reply(m, store.HandleReplicateBatch(req))
 			}
@@ -150,6 +153,30 @@ func TestReplicatorSyncDurability(t *testing.T) {
 	}
 	if rig.repl.BytesSent() != 2*appended {
 		t.Errorf("BytesSent %d, want %d", rig.repl.BytesSent(), 2*appended)
+	}
+}
+
+// TestFlushSplitsLargeBatches: a flush carrying more than maxBatchBytes
+// for one backup travels as several ReplicateBatch RPCs, and every byte
+// still lands.
+func TestFlushSplitsLargeBatches(t *testing.T) {
+	rig := newBackupRig(t, 1, 1)
+	log := storage.NewLog(3<<20, rig.repl.OnAppend)
+	value := bytes.Repeat([]byte("v"), 64<<10)
+	for i := 0; i < 120; i++ { // ~7.7 MB over three segments
+		if _, _, err := log.AppendObject(1, []byte(fmt.Sprintf("k%03d", i)), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rig.repl.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := rig.repl.FlushStats(); st.Flushes != 1 || st.RPCs < 2 {
+		t.Errorf("flush stats %+v: want one flush split over several RPCs", st)
+	}
+	_, _, appended, _ := log.Stats()
+	if got := rig.backups[0].BytesWritten(); got != appended {
+		t.Errorf("replica bytes %d, want %d", got, appended)
 	}
 }
 
@@ -249,5 +276,10 @@ func TestReplicateSegmentsWhole(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("replicated %d bytes, want %d", total, want)
+	}
+	// Side-log replication shares the batched send path but is not group
+	// commit: FlushStats must not count it.
+	if st := rig.repl.FlushStats(); st != (FlushStats{}) {
+		t.Errorf("ReplicateSegments counted in FlushStats: %+v", st)
 	}
 }

@@ -187,61 +187,25 @@ func (r *Replicator) markDead(b wire.ServerID) {
 	r.mu.Unlock()
 }
 
-// awaitReplicas waits for a batch of per-replica calls grouped by batch
-// index and returns the per-batch success counts. A replica whose RPC
-// fails gets one synchronous retry (ReplicateSegment is idempotent: the
-// backup rewrites prefixes) so a transient fault — an injected drop, a
-// momentary queue overflow — does not permanently shrink the backup set.
-// A replica that fails twice is marked dead; durability degrades rather
-// than halting the master — the availability call RAMCloud makes, with
-// recovery and full-segment re-replication responsible for restoring
-// redundancy.
-func (r *Replicator) awaitReplicas(ctx context.Context, calls []*transport.Call, backups []wire.ServerID, batch []int, reqs []*wire.ReplicateSegmentRequest, nbatches int) []int {
-	okPerBatch := make([]int, nbatches)
-	for i, c := range calls {
-		reply, err := c.Wait()
-		if err != nil {
-			reply, err = r.node.Call(ctx, backups[i], wire.PriorityReplication, reqs[i])
-		}
-		if err != nil {
-			r.markDead(backups[i])
-			continue
-		}
-		if resp, ok := reply.(*wire.ReplicateSegmentResponse); !ok || resp.Status != wire.StatusOK {
-			r.markDead(backups[i])
-			continue
-		}
-		okPerBatch[batch[i]]++
-	}
-	return okPerBatch
-}
-
 // replicateWholeSegment sends a segment's full contents to one live backup
 // (failover after a replica loss: a delta append would leave a gap, so the
-// replacement gets the whole prefix).
+// replacement gets the whole prefix). A backup that fails it is marked dead
+// and the next live one tried.
 func (r *Replicator) replicateWholeSegment(ctx context.Context, seg *storage.Segment) error {
 	if seg == nil {
 		return fmt.Errorf("%w: segment vanished during failover", ErrReplicationFailed)
 	}
-	req := &wire.ReplicateSegmentRequest{
-		Master:    r.master,
-		LogID:     seg.LogID,
-		SegmentID: seg.ID,
-		Offset:    0,
-		Data:      seg.Data(0, seg.Len()),
-		Close:     seg.Sealed(),
-	}
+	whole := []segChunk{{
+		logID: seg.LogID, segID: seg.ID, data: seg.Data(0, seg.Len()), seal: seg.Sealed(),
+	}}
 	for attempt := 0; attempt < len(r.backups); attempt++ {
 		targets := r.backupsFor(seg.ID)
 		if len(targets) == 0 {
 			break
 		}
-		reply, err := r.node.Call(ctx, targets[0], wire.PriorityReplication, req)
-		if err != nil {
-			r.markDead(targets[0])
-			continue
-		}
-		if resp, ok := reply.(*wire.ReplicateSegmentResponse); ok && resp.Status == wire.StatusOK {
+		b := &backupBatch{backup: targets[0], idxs: []int{0}}
+		r.send(ctx, b, whole)
+		if r.await(ctx, b)[0] {
 			return nil
 		}
 		r.markDead(targets[0])
@@ -255,6 +219,9 @@ type segChunk struct {
 	offset       int
 	data         []byte
 	seal         bool
+	// seg, when set, is the segment a failed chunk re-replicates whole;
+	// otherwise the segment resolver finds it.
+	seg *storage.Segment
 }
 
 // coalesceChunks folds a run of append events into contiguous per-segment
@@ -281,143 +248,150 @@ func coalesceChunks(batch []storage.AppendEvent) []segChunk {
 	return out
 }
 
-// flush ships a batch of events as group commit: all pending chunks bound
-// for one backup travel in a single ReplicateBatch RPC, so each flush
-// costs one RPC per backup regardless of how many shards appended. The
-// whole payload is assembled and marshaled here, outside the replicator's
-// mutex — Sync snapshots pending and releases mu before calling flush.
-func (r *Replicator) flush(batch []storage.AppendEvent) error {
-	start := time.Now()
-	coalesced := coalesceChunks(batch)
+// maxBatchBytes bounds the chunk data of one ReplicateBatch RPC, keeping
+// whole-segment batches far below the TCP frame limit. A chunk larger than
+// the bound travels alone.
+const maxBatchBytes = 4 << 20
 
-	// Group chunks by destination backup, preserving chunk order within
-	// each backup's request (replicas of one segment must apply in order).
-	perBackup := make(map[wire.ServerID][]int)
-	var order []wire.ServerID
-	for ci := range coalesced {
-		for _, b := range r.backupsFor(coalesced[ci].segID) {
-			if _, ok := perBackup[b]; !ok {
-				order = append(order, b)
+// backupBatch is one ReplicateBatch RPC: the chunks, by index, bound for
+// one backup, in chunk order.
+type backupBatch struct {
+	backup wire.ServerID
+	idxs   []int
+	bytes  int
+	call   *transport.Call
+	req    *wire.ReplicateBatchRequest
+}
+
+// send starts b's RPC carrying its chunks.
+func (r *Replicator) send(ctx context.Context, b *backupBatch, chunks []segChunk) {
+	b.req = &wire.ReplicateBatchRequest{
+		Master: r.master,
+		Chunks: make([]wire.ReplicateChunk, 0, len(b.idxs)),
+	}
+	for _, ci := range b.idxs {
+		c := &chunks[ci]
+		b.req.Chunks = append(b.req.Chunks, wire.ReplicateChunk{
+			LogID: c.logID, SegmentID: c.segID, Offset: uint32(c.offset),
+			Data: c.data, Close: c.seal,
+		})
+	}
+	b.call = r.node.Go(ctx, b.backup, wire.PriorityReplication, b.req)
+}
+
+// await waits for b's ack and reports, per chunk of the batch, whether
+// the backup stored it durably. A failed RPC gets one synchronous retry
+// (the batch is idempotent: the store rewrites prefixes), so a transient
+// fault — an injected drop, a momentary queue overflow — does not
+// permanently shrink the backup set; a backup that fails twice is marked
+// dead. Durability degrades rather than halting the master, the
+// availability call RAMCloud makes, with recovery and whole-segment
+// re-replication responsible for restoring redundancy.
+func (r *Replicator) await(ctx context.Context, b *backupBatch) []bool {
+	acks := make([]bool, len(b.idxs))
+	reply, err := b.call.Wait()
+	if err != nil {
+		reply, err = r.node.Call(ctx, b.backup, wire.PriorityReplication, b.req)
+	}
+	resp, ok := reply.(*wire.ReplicateBatchResponse)
+	if err != nil || !ok {
+		r.markDead(b.backup)
+		return acks
+	}
+	for j := range acks {
+		acks[j] = j < len(resp.ChunkStatuses) && resp.ChunkStatuses[j] == wire.StatusOK
+	}
+	return acks
+}
+
+// replicate ships chunks to each one's placement backups, grouped into
+// ReplicateBatch RPCs per backup (chunk order preserved within a backup,
+// since replicas of one segment must apply in order), then re-replicates
+// whole every segment whose chunk no replica acknowledged. It counts the
+// chunk bytes sent, per replica, in BytesSent and returns the RPCs issued.
+func (r *Replicator) replicate(ctx context.Context, chunks []segChunk) (int, error) {
+	var batches []*backupBatch
+	open := make(map[wire.ServerID]*backupBatch)
+	for ci := range chunks {
+		n := len(chunks[ci].data)
+		for _, b := range r.backupsFor(chunks[ci].segID) {
+			cur := open[b]
+			if cur == nil || cur.bytes+n > maxBatchBytes {
+				cur = &backupBatch{backup: b}
+				open[b] = cur
+				batches = append(batches, cur)
 			}
-			perBackup[b] = append(perBackup[b], ci)
+			cur.idxs = append(cur.idxs, ci)
+			cur.bytes += n
 		}
 	}
-
 	var sent int64
-	reqs := make([]*wire.ReplicateBatchRequest, len(order))
-	calls := make([]*transport.Call, len(order))
-	for i, b := range order {
-		idxs := perBackup[b]
-		req := &wire.ReplicateBatchRequest{
-			Master: r.master,
-			Chunks: make([]wire.ReplicateChunk, 0, len(idxs)),
-		}
-		for _, ci := range idxs {
-			c := &coalesced[ci]
-			req.Chunks = append(req.Chunks, wire.ReplicateChunk{
-				LogID: c.logID, SegmentID: c.segID, Offset: uint32(c.offset),
-				Data: c.data, Close: c.seal,
-			})
-			sent += int64(len(c.data))
-		}
-		reqs[i] = req
-		calls[i] = r.node.Go(r.root, b, wire.PriorityReplication, req)
+	for _, b := range batches {
+		r.send(ctx, b, chunks)
+		sent += int64(b.bytes)
 	}
-
-	// Await each backup's ack; one synchronous retry on failure (the batch
-	// is idempotent: the store rewrites prefixes), then mark it dead —
-	// durability degrades rather than halting the master.
-	okPerChunk := make([]int, len(coalesced))
-	for i, b := range order {
-		reply, err := calls[i].Wait()
-		if err != nil {
-			reply, err = r.node.Call(r.root, b, wire.PriorityReplication, reqs[i])
-		}
-		if err != nil {
-			r.markDead(b)
-			continue
-		}
-		resp, ok := reply.(*wire.ReplicateBatchResponse)
-		if !ok {
-			r.markDead(b)
-			continue
-		}
-		for j, ci := range perBackup[b] {
-			if j < len(resp.ChunkStatuses) && resp.ChunkStatuses[j] == wire.StatusOK {
-				okPerChunk[ci]++
+	r.mu.Lock()
+	r.bytesSent += sent
+	r.mu.Unlock()
+	okPerChunk := make([]int, len(chunks))
+	for _, b := range batches {
+		for j, ok := range r.await(ctx, b) {
+			if ok {
+				okPerChunk[b.idxs[j]]++
 			}
 		}
 	}
-
-	// Chunks that landed on no replica fall back to whole-segment
-	// re-replication against the surviving backup set.
 	for ci, n := range okPerChunk {
 		if n > 0 {
 			continue
 		}
-		var seg *storage.Segment
-		if r.resolve != nil {
-			seg = r.resolve(coalesced[ci].logID, coalesced[ci].segID)
+		seg := chunks[ci].seg
+		if seg == nil && r.resolve != nil {
+			seg = r.resolve(chunks[ci].logID, chunks[ci].segID)
 		}
-		if err := r.replicateWholeSegment(r.root, seg); err != nil {
-			return err
+		if err := r.replicateWholeSegment(ctx, seg); err != nil {
+			return len(batches), err
 		}
 	}
+	return len(batches), nil
+}
 
+// flush ships a batch of events as group commit: all pending chunks bound
+// for one backup travel in one ReplicateBatch RPC, so each flush costs one
+// RPC per backup regardless of how many shards appended. The whole payload
+// is assembled here, outside the replicator's mutex — Sync snapshots
+// pending and releases mu before calling flush.
+func (r *Replicator) flush(batch []storage.AppendEvent) error {
+	start := time.Now()
+	coalesced := coalesceChunks(batch)
+	rpcs, err := r.replicate(r.root, coalesced)
+	if err != nil {
+		return err
+	}
 	r.flushes.Add(1)
 	r.flushEvents.Add(int64(len(batch)))
 	r.flushChunks.Add(int64(len(coalesced)))
-	r.flushRPCs.Add(int64(len(order)))
+	r.flushRPCs.Add(int64(rpcs))
 	r.flushNanos.Add(time.Since(start).Nanoseconds())
-	r.mu.Lock()
-	r.bytesSent += sent
-	r.mu.Unlock()
 	return nil
 }
 
 // ReplicateSegments ships whole segments (sealed side logs at migration
-// end — the *lazy* re-replication of §3.4). Events bypass the pending
-// queue: the caller owns ordering, so unlike Sync the caller's ctx
-// governs every RPC.
+// end — the *lazy* re-replication of §3.4) through the same batched path
+// as group commit, outside FlushStats. Events bypass the pending queue:
+// the caller owns ordering, so unlike Sync the caller's ctx governs every
+// RPC.
 func (r *Replicator) ReplicateSegments(ctx context.Context, segs []*storage.Segment) error {
 	if !r.Enabled() {
 		return nil
 	}
-	var calls []*transport.Call
-	var callBackups []wire.ServerID
-	var callBatch []int
-	var callReqs []*wire.ReplicateSegmentRequest
-	var sent int64
-	for bi, seg := range segs {
-		data := seg.Data(0, seg.Len())
-		req := &wire.ReplicateSegmentRequest{
-			Master:    r.master,
-			LogID:     seg.LogID,
-			SegmentID: seg.ID,
-			Offset:    0,
-			Data:      data,
-			Close:     true,
-		}
-		for _, b := range r.backupsFor(seg.ID) {
-			calls = append(calls, r.node.Go(ctx, b, wire.PriorityReplication, req))
-			callBackups = append(callBackups, b)
-			callBatch = append(callBatch, bi)
-			callReqs = append(callReqs, req)
-			sent += int64(len(data))
+	chunks := make([]segChunk, len(segs))
+	for i, seg := range segs {
+		chunks[i] = segChunk{
+			logID: seg.LogID, segID: seg.ID, data: seg.Data(0, seg.Len()), seal: true, seg: seg,
 		}
 		seg.SetReplicatedTo(seg.Len())
 	}
-	okPerBatch := r.awaitReplicas(ctx, calls, callBackups, callBatch, callReqs, len(segs))
-	for bi, n := range okPerBatch {
-		if n > 0 {
-			continue
-		}
-		if err := r.replicateWholeSegment(ctx, segs[bi]); err != nil {
-			return err
-		}
-	}
-	r.mu.Lock()
-	r.bytesSent += sent
-	r.mu.Unlock()
-	return nil
+	_, err := r.replicate(ctx, chunks)
+	return err
 }

@@ -49,8 +49,8 @@ type Plan struct {
 	ReorderProb float64
 	HoldFlush   time.Duration
 	// ExemptOps lists operations never faulted (requests and responses).
-	// Scenarios exempt e.g. OpReplicateSegment when the assertion under
-	// test is lineage recovery, not replication failover.
+	// Scenarios exempt e.g. OpGetBackupSegments when the assertion under
+	// test is lineage recovery, not a lost recovery fetch.
 	ExemptOps []wire.Op
 }
 

@@ -137,18 +137,18 @@ func TestTCPLargeFrames(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	msg := &wire.Message{ID: 1, To: 2, Op: wire.OpReplicateSegment,
-		Body: &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 9, Data: data}}
+	msg := &wire.Message{ID: 1, To: 2, Op: wire.OpReplicateBatch,
+		Body: &wire.ReplicateBatchRequest{Master: 1, Chunks: []wire.ReplicateChunk{{SegmentID: 9, Data: data}}}}
 	if err := a.Send(msg); err != nil {
 		t.Fatal(err)
 	}
 	got := <-b.Inbound()
-	req := got.Body.(*wire.ReplicateSegmentRequest)
-	if len(req.Data) != len(data) {
-		t.Fatalf("size %d", len(req.Data))
+	chunk := got.Body.(*wire.ReplicateBatchRequest).Chunks[0]
+	if len(chunk.Data) != len(data) {
+		t.Fatalf("size %d", len(chunk.Data))
 	}
 	for i := 0; i < len(data); i += 100_000 {
-		if req.Data[i] != data[i] {
+		if chunk.Data[i] != data[i] {
 			t.Fatalf("corruption at %d", i)
 		}
 	}
@@ -223,20 +223,22 @@ func TestTCPCoalescedConcurrentSenders(t *testing.T) {
 // leaving only the decoded message and body.
 func TestTCPSendAllocs(t *testing.T) {
 	a, b := tcpPair(t)
-	drained := make(chan struct{})
-	count := 0
+	// One token per received frame; the buffer holds every frame the test
+	// sends, so the receiver never blocks on it.
+	frames := make(chan struct{}, 1024)
 	go func() {
-		defer close(drained)
 		for range b.Inbound() {
-			count++
+			frames <- struct{}{}
 		}
 	}()
 
 	msg := &wire.Message{To: 2, Op: wire.OpPing, Body: &wire.PingRequest{}}
+	sent := 0
 	send := func() {
 		if err := a.Send(msg); err != nil {
 			t.Fatal(err)
 		}
+		sent++
 	}
 	send() // warm the connection and pools
 	allocs := testing.AllocsPerRun(200, send)
@@ -246,9 +248,21 @@ func TestTCPSendAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("TCP send allocates %.1f objects/op, want <= 4", allocs)
 	}
+	// Send returns once a frame is on the socket, not once the peer has
+	// read it: closing now would race the receiver's read loop. Wait,
+	// bounded, until every frame has arrived.
+	count := 0
+	timeout := time.After(10 * time.Second)
+	for count < sent {
+		select {
+		case <-frames:
+			count++
+		case <-timeout:
+			t.Fatalf("receiver saw %d of %d frames within 10s", count, sent)
+		}
+	}
 	a.Close()
 	b.Close()
-	<-drained
 	if count == 0 {
 		t.Fatal("receiver saw no frames")
 	}

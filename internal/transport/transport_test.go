@@ -104,9 +104,9 @@ func TestFabricBandwidthPacing(t *testing.T) {
 		}
 		close(done)
 	}()
-	payload := &wire.ReplicateSegmentRequest{Data: make([]byte, msgSize)}
+	payload := &wire.ReplicateBatchRequest{Chunks: []wire.ReplicateChunk{{Data: make([]byte, msgSize)}}}
 	for i := 0; i < count; i++ {
-		if err := a.Send(&wire.Message{ID: uint64(i), To: 2, Op: wire.OpReplicateSegment, Body: payload}); err != nil {
+		if err := a.Send(&wire.Message{ID: uint64(i), To: 2, Op: wire.OpReplicateBatch, Body: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}

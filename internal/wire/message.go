@@ -1,11 +1,18 @@
 package wire
 
 // Payload is the interface implemented by every request and response body.
-// WireSize reports the encoded byte size, which drives the in-process
-// fabric's bandwidth/serialization model and Pull byte budgets.
+// codec lists the body's fields once, in wire order; a Coder runs the list
+// to size, encode or decode the body (see marshal.go). A new message adds
+// its struct, Op and codec here and its constructors to the ops table.
 type Payload interface {
-	WireSize() int
 	Op() Op
+	codec(c Coder) Coder
+}
+
+// statusOnly is the codec of a response that carries only a status.
+func statusOnly(c Coder, s *Status) Coder {
+	c.Status(s)
+	return c
 }
 
 // Message is the RPC envelope carried by transports.
@@ -35,34 +42,6 @@ type Message struct {
 	Body Payload
 }
 
-// WireSize returns the total encoded message size: a fixed envelope header
-// plus the body.
-func (m *Message) WireSize() int {
-	// id(8) + from(8) + to(8) + op(1) + flags(1) + priority(1) +
-	// trace(8) + deadline(8)
-	const envelope = 43
-	if m.Body == nil {
-		return envelope
-	}
-	return envelope + m.Body.WireSize()
-}
-
-func byteSliceSize(b []byte) int { return 4 + len(b) }
-func byteSlicesSize(bs [][]byte) int {
-	n := 4
-	for _, b := range bs {
-		n += byteSliceSize(b)
-	}
-	return n
-}
-func recordsSize(rs []Record) int {
-	n := 4
-	for i := range rs {
-		n += rs[i].WireSize()
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Data path
 // ---------------------------------------------------------------------------
@@ -73,8 +52,12 @@ type ReadRequest struct {
 	Key   []byte
 }
 
-func (r *ReadRequest) WireSize() int { return 8 + byteSliceSize(r.Key) }
-func (r *ReadRequest) Op() Op        { return OpRead }
+func (r *ReadRequest) Op() Op { return OpRead }
+func (r *ReadRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Blob(&r.Key)
+	return c
+}
 
 // ReadResponse returns the object, or a status explaining its absence.
 type ReadResponse struct {
@@ -86,8 +69,14 @@ type ReadResponse struct {
 	RetryAfterMicros uint32
 }
 
-func (r *ReadResponse) WireSize() int { return 13 + byteSliceSize(r.Value) }
-func (r *ReadResponse) Op() Op        { return OpRead }
+func (r *ReadResponse) Op() Op { return OpRead }
+func (r *ReadResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.Version)
+	c.U32(&r.RetryAfterMicros)
+	c.Blob(&r.Value)
+	return c
+}
 
 // WriteRequest stores one object.
 type WriteRequest struct {
@@ -96,8 +85,13 @@ type WriteRequest struct {
 	Value []byte
 }
 
-func (r *WriteRequest) WireSize() int { return 8 + byteSliceSize(r.Key) + byteSliceSize(r.Value) }
-func (r *WriteRequest) Op() Op        { return OpWrite }
+func (r *WriteRequest) Op() Op { return OpWrite }
+func (r *WriteRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Blob(&r.Key)
+	c.Blob(&r.Value)
+	return c
+}
 
 // WriteResponse acknowledges a durable write.
 type WriteResponse struct {
@@ -105,8 +99,12 @@ type WriteResponse struct {
 	Version uint64
 }
 
-func (r *WriteResponse) WireSize() int { return 9 }
-func (r *WriteResponse) Op() Op        { return OpWrite }
+func (r *WriteResponse) Op() Op { return OpWrite }
+func (r *WriteResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.Version)
+	return c
+}
 
 // DeleteRequest removes one object.
 type DeleteRequest struct {
@@ -114,8 +112,12 @@ type DeleteRequest struct {
 	Key   []byte
 }
 
-func (r *DeleteRequest) WireSize() int { return 8 + byteSliceSize(r.Key) }
-func (r *DeleteRequest) Op() Op        { return OpDelete }
+func (r *DeleteRequest) Op() Op { return OpDelete }
+func (r *DeleteRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Blob(&r.Key)
+	return c
+}
 
 // DeleteResponse acknowledges a durable delete.
 type DeleteResponse struct {
@@ -123,8 +125,12 @@ type DeleteResponse struct {
 	Version uint64
 }
 
-func (r *DeleteResponse) WireSize() int { return 9 }
-func (r *DeleteResponse) Op() Op        { return OpDelete }
+func (r *DeleteResponse) Op() Op { return OpDelete }
+func (r *DeleteResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.Version)
+	return c
+}
 
 // MultiGetRequest fetches several objects of one table from one server
 // with a single RPC (the locality optimization Figure 3 measures).
@@ -133,8 +139,12 @@ type MultiGetRequest struct {
 	Keys  [][]byte
 }
 
-func (r *MultiGetRequest) WireSize() int { return 8 + byteSlicesSize(r.Keys) }
-func (r *MultiGetRequest) Op() Op        { return OpMultiGet }
+func (r *MultiGetRequest) Op() Op { return OpMultiGet }
+func (r *MultiGetRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Blobs(&r.Keys)
+	return c
+}
 
 // MultiGetResponse returns per-key results aligned with the request keys.
 type MultiGetResponse struct {
@@ -146,11 +156,15 @@ type MultiGetResponse struct {
 	RetryAfterMicros uint32
 }
 
-func (r *MultiGetResponse) WireSize() int {
-	// status(1) + retry(4) + statuses(4+n) + versions(4+8n) + values
-	return 13 + len(r.Statuses) + 8*len(r.Versions) + byteSlicesSize(r.Values)
-}
 func (r *MultiGetResponse) Op() Op { return OpMultiGet }
+func (r *MultiGetResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U32(&r.RetryAfterMicros)
+	c.Statuses(&r.Statuses)
+	c.U64s(&r.Versions)
+	c.Blobs(&r.Values)
+	return c
+}
 
 // MultiPutRequest writes several objects of one table on one server.
 type MultiPutRequest struct {
@@ -159,10 +173,13 @@ type MultiPutRequest struct {
 	Values [][]byte
 }
 
-func (r *MultiPutRequest) WireSize() int {
-	return 8 + byteSlicesSize(r.Keys) + byteSlicesSize(r.Values)
-}
 func (r *MultiPutRequest) Op() Op { return OpMultiPut }
+func (r *MultiPutRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Blobs(&r.Keys)
+	c.Blobs(&r.Values)
+	return c
+}
 
 // MultiPutResponse returns per-key statuses aligned with the request keys.
 type MultiPutResponse struct {
@@ -171,9 +188,13 @@ type MultiPutResponse struct {
 	Versions []uint64
 }
 
-// WireSize is status(1) + statuses(4+n) + versions(4+8n).
-func (r *MultiPutResponse) WireSize() int { return 9 + len(r.Statuses) + 8*len(r.Versions) }
-func (r *MultiPutResponse) Op() Op        { return OpMultiPut }
+func (r *MultiPutResponse) Op() Op { return OpMultiPut }
+func (r *MultiPutResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Statuses(&r.Statuses)
+	c.U64s(&r.Versions)
+	return c
+}
 
 // MultiGetByHashRequest fetches objects by primary key hash; used by index
 // scans, which learn hashes (not keys) from indexlets (Figure 2).
@@ -182,8 +203,12 @@ type MultiGetByHashRequest struct {
 	Hashes []uint64
 }
 
-func (r *MultiGetByHashRequest) WireSize() int { return 12 + 8*len(r.Hashes) }
-func (r *MultiGetByHashRequest) Op() Op        { return OpMultiGetByHash }
+func (r *MultiGetByHashRequest) Op() Op { return OpMultiGetByHash }
+func (r *MultiGetByHashRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.U64s(&r.Hashes)
+	return c
+}
 
 // MultiGetByHashResponse returns the records found for the hashes. Records
 // whose hash is absent are omitted.
@@ -193,9 +218,13 @@ type MultiGetByHashResponse struct {
 	RetryAfterMicros uint32
 }
 
-// WireSize is status(1) + retry(4) + records (recordsSize includes the count).
-func (r *MultiGetByHashResponse) WireSize() int { return 5 + recordsSize(r.Records) }
-func (r *MultiGetByHashResponse) Op() Op        { return OpMultiGetByHash }
+func (r *MultiGetByHashResponse) Op() Op { return OpMultiGetByHash }
+func (r *MultiGetByHashResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U32(&r.RetryAfterMicros)
+	c.Records(&r.Records)
+	return c
+}
 
 // ---------------------------------------------------------------------------
 // Index path
@@ -210,10 +239,14 @@ type IndexLookupRequest struct {
 	Limit uint32
 }
 
-func (r *IndexLookupRequest) WireSize() int {
-	return 12 + byteSliceSize(r.Begin) + byteSliceSize(r.End)
-}
 func (r *IndexLookupRequest) Op() Op { return OpIndexLookup }
+func (r *IndexLookupRequest) codec(c Coder) Coder {
+	c.Index(&r.Index)
+	c.U32(&r.Limit)
+	c.Blob(&r.Begin)
+	c.Blob(&r.End)
+	return c
+}
 
 // IndexLookupResponse returns matching primary-key hashes in secondary-key
 // order.
@@ -222,8 +255,12 @@ type IndexLookupResponse struct {
 	Hashes []uint64
 }
 
-func (r *IndexLookupResponse) WireSize() int { return 5 + 8*len(r.Hashes) }
-func (r *IndexLookupResponse) Op() Op        { return OpIndexLookup }
+func (r *IndexLookupResponse) Op() Op { return OpIndexLookup }
+func (r *IndexLookupResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64s(&r.Hashes)
+	return c
+}
 
 // IndexInsertRequest adds (SecondaryKey -> KeyHash) to an indexlet; issued
 // by masters applying writes to indexed tables.
@@ -233,14 +270,19 @@ type IndexInsertRequest struct {
 	KeyHash      uint64
 }
 
-func (r *IndexInsertRequest) WireSize() int { return 16 + byteSliceSize(r.SecondaryKey) }
-func (r *IndexInsertRequest) Op() Op        { return OpIndexInsert }
+func (r *IndexInsertRequest) Op() Op { return OpIndexInsert }
+func (r *IndexInsertRequest) codec(c Coder) Coder {
+	c.Index(&r.Index)
+	c.U64(&r.KeyHash)
+	c.Blob(&r.SecondaryKey)
+	return c
+}
 
 // IndexInsertResponse acknowledges the insert.
 type IndexInsertResponse struct{ Status Status }
 
-func (r *IndexInsertResponse) WireSize() int { return 1 }
-func (r *IndexInsertResponse) Op() Op        { return OpIndexInsert }
+func (r *IndexInsertResponse) Op() Op              { return OpIndexInsert }
+func (r *IndexInsertResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // IndexRemoveRequest removes (SecondaryKey -> KeyHash) from an indexlet.
 type IndexRemoveRequest struct {
@@ -249,14 +291,19 @@ type IndexRemoveRequest struct {
 	KeyHash      uint64
 }
 
-func (r *IndexRemoveRequest) WireSize() int { return 16 + byteSliceSize(r.SecondaryKey) }
-func (r *IndexRemoveRequest) Op() Op        { return OpIndexRemove }
+func (r *IndexRemoveRequest) Op() Op { return OpIndexRemove }
+func (r *IndexRemoveRequest) codec(c Coder) Coder {
+	c.Index(&r.Index)
+	c.U64(&r.KeyHash)
+	c.Blob(&r.SecondaryKey)
+	return c
+}
 
 // IndexRemoveResponse acknowledges the removal.
 type IndexRemoveResponse struct{ Status Status }
 
-func (r *IndexRemoveResponse) WireSize() int { return 1 }
-func (r *IndexRemoveResponse) Op() Op        { return OpIndexRemove }
+func (r *IndexRemoveResponse) Op() Op              { return OpIndexRemove }
+func (r *IndexRemoveResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // ---------------------------------------------------------------------------
 // Migration path
@@ -270,15 +317,20 @@ type MigrateTabletRequest struct {
 	Source ServerID
 }
 
-func (r *MigrateTabletRequest) WireSize() int { return 32 }
-func (r *MigrateTabletRequest) Op() Op        { return OpMigrateTablet }
+func (r *MigrateTabletRequest) Op() Op { return OpMigrateTablet }
+func (r *MigrateTabletRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.Server(&r.Source)
+	return c
+}
 
 // MigrateTabletResponse acknowledges that migration started (not that it
 // finished): ownership has already moved to the target.
 type MigrateTabletResponse struct{ Status Status }
 
-func (r *MigrateTabletResponse) WireSize() int { return 1 }
-func (r *MigrateTabletResponse) Op() Op        { return OpMigrateTablet }
+func (r *MigrateTabletResponse) Op() Op              { return OpMigrateTablet }
+func (r *MigrateTabletResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // PrepareMigrationRequest is sent target -> source before ownership moves.
 // The source marks the tablet immutable-and-migrating and returns what the
@@ -295,8 +347,14 @@ type PrepareMigrationRequest struct {
 	KeepServing bool
 }
 
-func (r *PrepareMigrationRequest) WireSize() int { return 33 }
-func (r *PrepareMigrationRequest) Op() Op        { return OpPrepareMigration }
+func (r *PrepareMigrationRequest) Op() Op { return OpPrepareMigration }
+func (r *PrepareMigrationRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.Server(&r.Target)
+	c.Bool(&r.KeepServing)
+	return c
+}
 
 // PrepareMigrationResponse carries the source-side facts a migration
 // manager needs.
@@ -319,8 +377,16 @@ type PrepareMigrationResponse struct {
 	TailWatermark uint64
 }
 
-func (r *PrepareMigrationResponse) WireSize() int { return 41 }
-func (r *PrepareMigrationResponse) Op() Op        { return OpPrepareMigration }
+func (r *PrepareMigrationResponse) Op() Op { return OpPrepareMigration }
+func (r *PrepareMigrationResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.VersionCeiling)
+	c.U64(&r.NumBuckets)
+	c.U64(&r.RecordCount)
+	c.U64(&r.ByteCount)
+	c.U64(&r.TailWatermark)
+	return c
+}
 
 // AbortMigrationRequest is sent target -> source when the migration
 // prologue fails after PrepareMigration may have landed: ownership never
@@ -335,15 +401,20 @@ type AbortMigrationRequest struct {
 	Target ServerID
 }
 
-func (r *AbortMigrationRequest) WireSize() int { return 32 }
-func (r *AbortMigrationRequest) Op() Op        { return OpAbortMigration }
+func (r *AbortMigrationRequest) Op() Op { return OpAbortMigration }
+func (r *AbortMigrationRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.Server(&r.Target)
+	return c
+}
 
 // AbortMigrationResponse acknowledges that the source serves the range
 // again (or never stopped).
 type AbortMigrationResponse struct{ Status Status }
 
-func (r *AbortMigrationResponse) WireSize() int { return 1 }
-func (r *AbortMigrationResponse) Op() Op        { return OpAbortMigration }
+func (r *AbortMigrationResponse) Op() Op              { return OpAbortMigration }
+func (r *AbortMigrationResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // PullRequest fetches the next batch of records from one partition of the
 // source's key-hash space. The source is stateless: ResumeToken encodes the
@@ -360,8 +431,14 @@ type PullRequest struct {
 	ByteBudget uint32
 }
 
-func (r *PullRequest) WireSize() int { return 36 }
-func (r *PullRequest) Op() Op        { return OpPull }
+func (r *PullRequest) Op() Op { return OpPull }
+func (r *PullRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.U64(&r.ResumeToken)
+	c.U32(&r.ByteBudget)
+	return c
+}
 
 // PullResponse returns a batch of records and the token to continue from.
 type PullResponse struct {
@@ -372,8 +449,14 @@ type PullResponse struct {
 	Done bool
 }
 
-func (r *PullResponse) WireSize() int { return 10 + recordsSize(r.Records) }
-func (r *PullResponse) Op() Op        { return OpPull }
+func (r *PullResponse) Op() Op { return OpPull }
+func (r *PullResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.ResumeToken)
+	c.Bool(&r.Done)
+	c.Records(&r.Records)
+	return c
+}
 
 // PriorityPullRequest fetches specific records by key hash, on demand, at
 // the highest priority (§3.3). Requests are batched and de-duplicated by
@@ -383,8 +466,12 @@ type PriorityPullRequest struct {
 	Hashes []uint64
 }
 
-func (r *PriorityPullRequest) WireSize() int { return 12 + 8*len(r.Hashes) }
-func (r *PriorityPullRequest) Op() Op        { return OpPriorityPull }
+func (r *PriorityPullRequest) Op() Op { return OpPriorityPull }
+func (r *PriorityPullRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.U64s(&r.Hashes)
+	return c
+}
 
 // PriorityPullResponse returns the requested records. Hashes with no
 // record on the source are reported in Missing so the target can answer
@@ -395,8 +482,13 @@ type PriorityPullResponse struct {
 	Missing []uint64
 }
 
-func (r *PriorityPullResponse) WireSize() int { return 5 + recordsSize(r.Records) + 8*len(r.Missing) }
-func (r *PriorityPullResponse) Op() Op        { return OpPriorityPull }
+func (r *PriorityPullResponse) Op() Op { return OpPriorityPull }
+func (r *PriorityPullResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Records(&r.Records)
+	c.U64s(&r.Missing)
+	return c
+}
 
 // DropTabletRequest tells the source migration finished: it may free the
 // tablet's records (the log cleaner reclaims the space).
@@ -405,14 +497,18 @@ type DropTabletRequest struct {
 	Range HashRange
 }
 
-func (r *DropTabletRequest) WireSize() int { return 24 }
-func (r *DropTabletRequest) Op() Op        { return OpDropTablet }
+func (r *DropTabletRequest) Op() Op { return OpDropTablet }
+func (r *DropTabletRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	return c
+}
 
 // DropTabletResponse acknowledges the drop.
 type DropTabletResponse struct{ Status Status }
 
-func (r *DropTabletResponse) WireSize() int { return 1 }
-func (r *DropTabletResponse) Op() Op        { return OpDropTablet }
+func (r *DropTabletResponse) Op() Op              { return OpDropTablet }
+func (r *DropTabletResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // ReplayRecordsRequest pushes a batch of records source -> target: the
 // data path of the *pre-existing* RAMCloud migration Figure 5 dissects.
@@ -428,14 +524,20 @@ type ReplayRecordsRequest struct {
 	SkipReplay bool
 }
 
-func (r *ReplayRecordsRequest) WireSize() int { return 10 + recordsSize(r.Records) }
-func (r *ReplayRecordsRequest) Op() Op        { return OpReplayRecords }
+func (r *ReplayRecordsRequest) Op() Op { return OpReplayRecords }
+func (r *ReplayRecordsRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Bool(&r.Replicate)
+	c.Bool(&r.SkipReplay)
+	c.Records(&r.Records)
+	return c
+}
 
 // ReplayRecordsResponse acknowledges a pushed batch.
 type ReplayRecordsResponse struct{ Status Status }
 
-func (r *ReplayRecordsResponse) WireSize() int { return 1 }
-func (r *ReplayRecordsResponse) Op() Op        { return OpReplayRecords }
+func (r *ReplayRecordsResponse) Op() Op              { return OpReplayRecords }
+func (r *ReplayRecordsResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // PullTailRequest fetches records of a range appended after the epoch
 // watermark AfterEpoch: the delta catch-up used when ownership stays at
@@ -449,8 +551,13 @@ type PullTailRequest struct {
 	AfterEpoch uint64
 }
 
-func (r *PullTailRequest) WireSize() int { return 32 }
-func (r *PullTailRequest) Op() Op        { return OpPullTail }
+func (r *PullTailRequest) Op() Op { return OpPullTail }
+func (r *PullTailRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.U64(&r.AfterEpoch)
+	return c
+}
 
 // PullTailResponse returns the live tail records of the range.
 type PullTailResponse struct {
@@ -458,18 +565,20 @@ type PullTailResponse struct {
 	Records []Record
 }
 
-// WireSize is status(1) + records (recordsSize includes the count).
-func (r *PullTailResponse) WireSize() int { return 1 + recordsSize(r.Records) }
-func (r *PullTailResponse) Op() Op        { return OpPullTail }
+func (r *PullTailResponse) Op() Op { return OpPullTail }
+func (r *PullTailResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Records(&r.Records)
+	return c
+}
 
 // ---------------------------------------------------------------------------
 // Replication path
 // ---------------------------------------------------------------------------
 
-// ReplicateSegmentRequest appends log data to a backup's replica of a
-// segment. Offset allows incremental tail replication.
-type ReplicateSegmentRequest struct {
-	Master    ServerID
+// ReplicateChunk is one contiguous span of one segment's bytes inside a
+// batched replication request.
+type ReplicateChunk struct {
 	LogID     uint64 // distinguishes main log and side logs
 	SegmentID uint64
 	Offset    uint32
@@ -478,28 +587,14 @@ type ReplicateSegmentRequest struct {
 	Close bool
 }
 
-func (r *ReplicateSegmentRequest) WireSize() int { return 29 + byteSliceSize(r.Data) }
-func (r *ReplicateSegmentRequest) Op() Op        { return OpReplicateSegment }
-
-// ReplicateSegmentResponse acknowledges durable receipt.
-type ReplicateSegmentResponse struct{ Status Status }
-
-func (r *ReplicateSegmentResponse) WireSize() int { return 1 }
-func (r *ReplicateSegmentResponse) Op() Op        { return OpReplicateSegment }
-
-// ReplicateChunk is one contiguous span of one segment's bytes inside a
-// batched replication request.
-type ReplicateChunk struct {
-	LogID     uint64
-	SegmentID uint64
-	Offset    uint32
-	Data      []byte
-	// Close seals the segment replica.
-	Close bool
+func (ch *ReplicateChunk) codec(c Coder) Coder {
+	c.U64(&ch.LogID)
+	c.U64(&ch.SegmentID)
+	c.U32(&ch.Offset)
+	c.Bool(&ch.Close)
+	c.Blob(&ch.Data)
+	return c
 }
-
-// wireSize is logID(8) + segmentID(8) + offset(4) + close(1) + data blob.
-func (c *ReplicateChunk) wireSize() int { return 21 + byteSliceSize(c.Data) }
 
 // ReplicateBatchRequest is the group-commit unit: one RPC carrying every
 // shard's pending log growth destined for one backup. The backup applies
@@ -511,14 +606,12 @@ type ReplicateBatchRequest struct {
 	Chunks []ReplicateChunk
 }
 
-func (r *ReplicateBatchRequest) WireSize() int {
-	n := 12 // master(8) + count(4)
-	for i := range r.Chunks {
-		n += r.Chunks[i].wireSize()
-	}
-	return n
-}
 func (r *ReplicateBatchRequest) Op() Op { return OpReplicateBatch }
+func (r *ReplicateBatchRequest) codec(c Coder) Coder {
+	c.Server(&r.Master)
+	list(&c, &r.Chunks)
+	return c
+}
 
 // ReplicateBatchResponse acknowledges a batch: Status is OK only if every
 // chunk landed; ChunkStatuses reports each chunk's outcome.
@@ -527,8 +620,12 @@ type ReplicateBatchResponse struct {
 	ChunkStatuses []Status
 }
 
-func (r *ReplicateBatchResponse) WireSize() int { return 5 + len(r.ChunkStatuses) }
-func (r *ReplicateBatchResponse) Op() Op        { return OpReplicateBatch }
+func (r *ReplicateBatchResponse) Op() Op { return OpReplicateBatch }
+func (r *ReplicateBatchResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Statuses(&r.ChunkStatuses)
+	return c
+}
 
 // GetBackupSegmentsRequest asks a backup for one page of the segment
 // replicas it holds for a crashed master; used by recovery. Responses
@@ -547,8 +644,14 @@ type GetBackupSegmentsRequest struct {
 	MaxBytes uint32
 }
 
-func (r *GetBackupSegmentsRequest) WireSize() int { return 28 }
-func (r *GetBackupSegmentsRequest) Op() Op        { return OpGetBackupSegments }
+func (r *GetBackupSegmentsRequest) Op() Op { return OpGetBackupSegments }
+func (r *GetBackupSegmentsRequest) codec(c Coder) Coder {
+	c.Server(&r.Master)
+	c.U64(&r.MinLogOffset)
+	c.U64(&r.Cursor)
+	c.U32(&r.MaxBytes)
+	return c
+}
 
 // BackupSegment is one replicated segment returned for recovery.
 type BackupSegment struct {
@@ -561,6 +664,14 @@ type BackupSegment struct {
 	Data   []byte
 }
 
+func (s *BackupSegment) codec(c Coder) Coder {
+	c.U64(&s.LogID)
+	c.U64(&s.SegmentID)
+	c.Bool(&s.Sealed)
+	c.Blob(&s.Data)
+	return c
+}
+
 // GetBackupSegmentsResponse returns one page of replicas.
 type GetBackupSegmentsResponse struct {
 	Status   Status
@@ -571,14 +682,14 @@ type GetBackupSegmentsResponse struct {
 	More bool
 }
 
-func (r *GetBackupSegmentsResponse) WireSize() int {
-	n := 14 // status(1) + nextCursor(8) + more(1) + count(4)
-	for i := range r.Segments {
-		n += 17 + byteSliceSize(r.Segments[i].Data)
-	}
-	return n
-}
 func (r *GetBackupSegmentsResponse) Op() Op { return OpGetBackupSegments }
+func (r *GetBackupSegmentsResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.NextCursor)
+	c.Bool(&r.More)
+	list(&c, &r.Segments)
+	return c
+}
 
 // TakeTabletsRequest instructs a recovery master to assume ownership of
 // tablets recovered from a crashed server and to replay the supplied
@@ -591,14 +702,20 @@ type TakeTabletsRequest struct {
 	VersionCeiling uint64
 }
 
-func (r *TakeTabletsRequest) WireSize() int { return 32 + recordsSize(r.Records) }
-func (r *TakeTabletsRequest) Op() Op        { return OpTakeTablets }
+func (r *TakeTabletsRequest) Op() Op { return OpTakeTablets }
+func (r *TakeTabletsRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.U64(&r.VersionCeiling)
+	c.Records(&r.Records)
+	return c
+}
 
 // TakeTabletsResponse acknowledges recovery replay.
 type TakeTabletsResponse struct{ Status Status }
 
-func (r *TakeTabletsResponse) WireSize() int { return 1 }
-func (r *TakeTabletsResponse) Op() Op        { return OpTakeTablets }
+func (r *TakeTabletsResponse) Op() Op              { return OpTakeTablets }
+func (r *TakeTabletsResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // ---------------------------------------------------------------------------
 // Coordinator control path
@@ -609,6 +726,13 @@ type Tablet struct {
 	Table  TableID
 	Range  HashRange
 	Master ServerID
+}
+
+func (t *Tablet) codec(c Coder) Coder {
+	c.Table(&t.Table)
+	c.Range(&t.Range)
+	c.Server(&t.Master)
+	return c
 }
 
 // Indexlet is one range-partition of a secondary index.
@@ -622,11 +746,20 @@ type Indexlet struct {
 	Master ServerID
 }
 
+func (ix *Indexlet) codec(c Coder) Coder {
+	c.Index(&ix.Index)
+	c.Table(&ix.Table)
+	c.Server(&ix.Master)
+	c.Blob(&ix.Begin)
+	c.Blob(&ix.End)
+	return c
+}
+
 // GetTabletMapRequest fetches the current tablet and indexlet maps.
 type GetTabletMapRequest struct{}
 
-func (r *GetTabletMapRequest) WireSize() int { return 0 }
-func (r *GetTabletMapRequest) Op() Op        { return OpGetTabletMap }
+func (r *GetTabletMapRequest) Op() Op              { return OpGetTabletMap }
+func (r *GetTabletMapRequest) codec(c Coder) Coder { return c }
 
 // GetTabletMapResponse returns the maps and their version.
 type GetTabletMapResponse struct {
@@ -636,15 +769,14 @@ type GetTabletMapResponse struct {
 	Indexlets []Indexlet
 }
 
-func (r *GetTabletMapResponse) WireSize() int {
-	// status(1) + version(8) + tablet count(4) + indexlet count(4) + entries
-	n := 17 + 32*len(r.Tablets)
-	for i := range r.Indexlets {
-		n += 24 + byteSliceSize(r.Indexlets[i].Begin) + byteSliceSize(r.Indexlets[i].End)
-	}
-	return n
-}
 func (r *GetTabletMapResponse) Op() Op { return OpGetTabletMap }
+func (r *GetTabletMapResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.Version)
+	list(&c, &r.Tablets)
+	list(&c, &r.Indexlets)
+	return c
+}
 
 // CreateTableRequest creates a table spread over the given servers (one
 // tablet per server, hash space split evenly).
@@ -653,8 +785,12 @@ type CreateTableRequest struct {
 	Servers []ServerID
 }
 
-func (r *CreateTableRequest) WireSize() int { return 4 + len(r.Name) + 4 + 8*len(r.Servers) }
-func (r *CreateTableRequest) Op() Op        { return OpCreateTable }
+func (r *CreateTableRequest) Op() Op { return OpCreateTable }
+func (r *CreateTableRequest) codec(c Coder) Coder {
+	c.String(&r.Name)
+	c.ServerIDs(&r.Servers)
+	return c
+}
 
 // CreateTableResponse returns the new table's ID.
 type CreateTableResponse struct {
@@ -662,8 +798,12 @@ type CreateTableResponse struct {
 	Table  TableID
 }
 
-func (r *CreateTableResponse) WireSize() int { return 9 }
-func (r *CreateTableResponse) Op() Op        { return OpCreateTable }
+func (r *CreateTableResponse) Op() Op { return OpCreateTable }
+func (r *CreateTableResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Table(&r.Table)
+	return c
+}
 
 // CreateIndexRequest creates a secondary index over a table, range
 // partitioned into one indexlet per entry of Splits+1 servers.
@@ -675,10 +815,13 @@ type CreateIndexRequest struct {
 	SplitKeys [][]byte
 }
 
-func (r *CreateIndexRequest) WireSize() int {
-	return 12 + 8*len(r.Servers) + byteSlicesSize(r.SplitKeys)
-}
 func (r *CreateIndexRequest) Op() Op { return OpCreateIndex }
+func (r *CreateIndexRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.ServerIDs(&r.Servers)
+	c.Blobs(&r.SplitKeys)
+	return c
+}
 
 // CreateIndexResponse returns the new index's ID.
 type CreateIndexResponse struct {
@@ -686,8 +829,12 @@ type CreateIndexResponse struct {
 	Index  IndexID
 }
 
-func (r *CreateIndexResponse) WireSize() int { return 9 }
-func (r *CreateIndexResponse) Op() Op        { return OpCreateIndex }
+func (r *CreateIndexResponse) Op() Op { return OpCreateIndex }
+func (r *CreateIndexResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Index(&r.Index)
+	return c
+}
 
 // MigrateStartRequest is sent target -> coordinator at migration start: it
 // atomically transfers tablet ownership to the target and registers the
@@ -706,8 +853,15 @@ type MigrateStartRequest struct {
 	TargetLogWatermark uint64
 }
 
-func (r *MigrateStartRequest) WireSize() int { return 48 }
-func (r *MigrateStartRequest) Op() Op        { return OpMigrateStart }
+func (r *MigrateStartRequest) Op() Op { return OpMigrateStart }
+func (r *MigrateStartRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.Server(&r.Source)
+	c.Server(&r.Target)
+	c.U64(&r.TargetLogWatermark)
+	return c
+}
 
 // MigrateStartResponse acknowledges the ownership transfer.
 type MigrateStartResponse struct {
@@ -715,8 +869,12 @@ type MigrateStartResponse struct {
 	MapVersion uint64
 }
 
-func (r *MigrateStartResponse) WireSize() int { return 9 }
-func (r *MigrateStartResponse) Op() Op        { return OpMigrateStart }
+func (r *MigrateStartResponse) Op() Op { return OpMigrateStart }
+func (r *MigrateStartResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.MapVersion)
+	return c
+}
 
 // MigrateDoneRequest drops the lineage dependency once side logs are
 // replicated and committed.
@@ -727,14 +885,20 @@ type MigrateDoneRequest struct {
 	Target ServerID
 }
 
-func (r *MigrateDoneRequest) WireSize() int { return 40 }
-func (r *MigrateDoneRequest) Op() Op        { return OpMigrateDone }
+func (r *MigrateDoneRequest) Op() Op { return OpMigrateDone }
+func (r *MigrateDoneRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.Range(&r.Range)
+	c.Server(&r.Source)
+	c.Server(&r.Target)
+	return c
+}
 
 // MigrateDoneResponse acknowledges dependency removal.
 type MigrateDoneResponse struct{ Status Status }
 
-func (r *MigrateDoneResponse) WireSize() int { return 1 }
-func (r *MigrateDoneResponse) Op() Op        { return OpMigrateDone }
+func (r *MigrateDoneResponse) Op() Op              { return OpMigrateDone }
+func (r *MigrateDoneResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // SplitTabletRequest splits the tablet containing SplitAt into two tablets
 // at the boundary; both halves stay on the current master. Splitting is
@@ -745,8 +909,12 @@ type SplitTabletRequest struct {
 	SplitAt uint64 // first hash of the upper tablet
 }
 
-func (r *SplitTabletRequest) WireSize() int { return 16 }
-func (r *SplitTabletRequest) Op() Op        { return OpSplitTablet }
+func (r *SplitTabletRequest) Op() Op { return OpSplitTablet }
+func (r *SplitTabletRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.U64(&r.SplitAt)
+	return c
+}
 
 // SplitTabletResponse acknowledges the split.
 type SplitTabletResponse struct {
@@ -754,22 +922,29 @@ type SplitTabletResponse struct {
 	MapVersion uint64
 }
 
-func (r *SplitTabletResponse) WireSize() int { return 9 }
-func (r *SplitTabletResponse) Op() Op        { return OpSplitTablet }
+func (r *SplitTabletResponse) Op() Op { return OpSplitTablet }
+func (r *SplitTabletResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.MapVersion)
+	return c
+}
 
 // EnlistServerRequest registers a server with the coordinator.
 type EnlistServerRequest struct {
 	Server ServerID
 }
 
-func (r *EnlistServerRequest) WireSize() int { return 8 }
-func (r *EnlistServerRequest) Op() Op        { return OpEnlistServer }
+func (r *EnlistServerRequest) Op() Op { return OpEnlistServer }
+func (r *EnlistServerRequest) codec(c Coder) Coder {
+	c.Server(&r.Server)
+	return c
+}
 
 // EnlistServerResponse acknowledges enlistment.
 type EnlistServerResponse struct{ Status Status }
 
-func (r *EnlistServerResponse) WireSize() int { return 1 }
-func (r *EnlistServerResponse) Op() Op        { return OpEnlistServer }
+func (r *EnlistServerResponse) Op() Op              { return OpEnlistServer }
+func (r *EnlistServerResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // ReportCrashRequest notifies the coordinator of a suspected server crash,
 // triggering recovery.
@@ -777,15 +952,18 @@ type ReportCrashRequest struct {
 	Server ServerID
 }
 
-func (r *ReportCrashRequest) WireSize() int { return 8 }
-func (r *ReportCrashRequest) Op() Op        { return OpReportCrash }
+func (r *ReportCrashRequest) Op() Op { return OpReportCrash }
+func (r *ReportCrashRequest) codec(c Coder) Coder {
+	c.Server(&r.Server)
+	return c
+}
 
 // ReportCrashResponse acknowledges that recovery was initiated (or that
 // the server was already recovered).
 type ReportCrashResponse struct{ Status Status }
 
-func (r *ReportCrashResponse) WireSize() int { return 1 }
-func (r *ReportCrashResponse) Op() Op        { return OpReportCrash }
+func (r *ReportCrashResponse) Op() Op              { return OpReportCrash }
+func (r *ReportCrashResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }
 
 // MergeTabletsRequest coalesces the two adjacent tablets of one table that
 // meet at boundary MergeAt (the first hash of the upper tablet) back into a
@@ -798,8 +976,12 @@ type MergeTabletsRequest struct {
 	MergeAt uint64
 }
 
-func (r *MergeTabletsRequest) WireSize() int { return 16 }
-func (r *MergeTabletsRequest) Op() Op        { return OpMergeTablets }
+func (r *MergeTabletsRequest) Op() Op { return OpMergeTablets }
+func (r *MergeTabletsRequest) codec(c Coder) Coder {
+	c.Table(&r.Table)
+	c.U64(&r.MergeAt)
+	return c
+}
 
 // MergeTabletsResponse acknowledges the merge.
 type MergeTabletsResponse struct {
@@ -807,8 +989,12 @@ type MergeTabletsResponse struct {
 	MapVersion uint64
 }
 
-func (r *MergeTabletsResponse) WireSize() int { return 9 }
-func (r *MergeTabletsResponse) Op() Op        { return OpMergeTablets }
+func (r *MergeTabletsResponse) Op() Op { return OpMergeTablets }
+func (r *MergeTabletsResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.MapVersion)
+	return c
+}
 
 // TabletHeat is one tablet's decayed access-rate estimate in a heat
 // snapshot: accesses per decay interval, exponentially weighted toward the
@@ -821,14 +1007,18 @@ type TabletHeat struct {
 	Heat uint64
 }
 
-// tabletHeatSize is table(8) + range(16) + heat(8).
-const tabletHeatSize = 32
+func (h *TabletHeat) codec(c Coder) Coder {
+	c.Table(&h.Table)
+	c.Range(&h.Range)
+	c.U64(&h.Heat)
+	return c
+}
 
 // GetHeatRequest polls one server for its heat snapshot and SLO signals.
 type GetHeatRequest struct{}
 
-func (r *GetHeatRequest) WireSize() int { return 0 }
-func (r *GetHeatRequest) Op() Op        { return OpGetHeat }
+func (r *GetHeatRequest) Op() Op              { return OpGetHeat }
+func (r *GetHeatRequest) codec(c Coder) Coder { return c }
 
 // GetHeatResponse carries the per-tablet heat snapshot plus the dispatch
 // queue-wait p99 per priority level in microseconds — the signal the
@@ -841,11 +1031,13 @@ type GetHeatResponse struct {
 	QueueWaitP99Micros []uint64
 }
 
-func (r *GetHeatResponse) WireSize() int {
-	// status(1) + tablet count(4) + entries + p99 count(4) + entries
-	return 9 + tabletHeatSize*len(r.Tablets) + 8*len(r.QueueWaitP99Micros)
-}
 func (r *GetHeatResponse) Op() Op { return OpGetHeat }
+func (r *GetHeatResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	list(&c, &r.Tablets)
+	c.U64s(&r.QueueWaitP99Micros)
+	return c
+}
 
 // RebalanceControlRequest drives the coordinator's rebalancer loop from
 // operator tooling: enable or disable scheduling, or just read status.
@@ -855,8 +1047,12 @@ type RebalanceControlRequest struct {
 	Disable bool
 }
 
-func (r *RebalanceControlRequest) WireSize() int { return 2 }
-func (r *RebalanceControlRequest) Op() Op        { return OpRebalanceControl }
+func (r *RebalanceControlRequest) Op() Op { return OpRebalanceControl }
+func (r *RebalanceControlRequest) codec(c Coder) Coder {
+	c.Bool(&r.Enable)
+	c.Bool(&r.Disable)
+	return c
+}
 
 // RebalanceControlResponse reports the loop's state and lifetime counters.
 type RebalanceControlResponse struct {
@@ -871,9 +1067,17 @@ type RebalanceControlResponse struct {
 	Backoffs   uint64
 }
 
-// WireSize is status(1) + enabled(1) + backingOff(1) + 4 counters.
-func (r *RebalanceControlResponse) WireSize() int { return 35 }
-func (r *RebalanceControlResponse) Op() Op        { return OpRebalanceControl }
+func (r *RebalanceControlResponse) Op() Op { return OpRebalanceControl }
+func (r *RebalanceControlResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Bool(&r.Enabled)
+	c.Bool(&r.BackingOff)
+	c.U64(&r.Splits)
+	c.U64(&r.Merges)
+	c.U64(&r.Migrations)
+	c.U64(&r.Backoffs)
+	return c
+}
 
 // ---------------------------------------------------------------------------
 // Durable backup storage
@@ -883,8 +1087,8 @@ func (r *RebalanceControlResponse) Op() Op        { return OpRebalanceControl }
 // store counters (`rocksteady-cli backup status`).
 type BackupStatusRequest struct{}
 
-func (r *BackupStatusRequest) WireSize() int { return 0 }
-func (r *BackupStatusRequest) Op() Op        { return OpBackupStatus }
+func (r *BackupStatusRequest) Op() Op              { return OpBackupStatus }
+func (r *BackupStatusRequest) codec(c Coder) Coder { return c }
 
 // BackupStatusResponse reports a backup's segment store state.
 type BackupStatusResponse struct {
@@ -902,9 +1106,17 @@ type BackupStatusResponse struct {
 	SyncLag uint64
 }
 
-// WireSize is status(1) + persistent(1) + 5 counters.
-func (r *BackupStatusResponse) WireSize() int { return 42 }
-func (r *BackupStatusResponse) Op() Op        { return OpBackupStatus }
+func (r *BackupStatusResponse) Op() Op { return OpBackupStatus }
+func (r *BackupStatusResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.Bool(&r.Persistent)
+	c.U64(&r.Segments)
+	c.U64(&r.SealedSegments)
+	c.U64(&r.Bytes)
+	c.U64(&r.BytesWritten)
+	c.U64(&r.SyncLag)
+	return c
+}
 
 // RecoverMasterRequest asks the coordinator to rebuild a master's data
 // from the backup segment replicas live servers hold for it — the
@@ -915,8 +1127,11 @@ type RecoverMasterRequest struct {
 	Master ServerID
 }
 
-func (r *RecoverMasterRequest) WireSize() int { return 8 }
-func (r *RecoverMasterRequest) Op() Op        { return OpRecoverMaster }
+func (r *RecoverMasterRequest) Op() Op { return OpRecoverMaster }
+func (r *RecoverMasterRequest) codec(c Coder) Coder {
+	c.Server(&r.Master)
+	return c
+}
 
 // RecoverMasterResponse reports what the cold recovery replayed.
 type RecoverMasterResponse struct {
@@ -927,8 +1142,13 @@ type RecoverMasterResponse struct {
 	Records  uint64
 }
 
-func (r *RecoverMasterResponse) WireSize() int { return 17 }
-func (r *RecoverMasterResponse) Op() Op        { return OpRecoverMaster }
+func (r *RecoverMasterResponse) Op() Op { return OpRecoverMaster }
+func (r *RecoverMasterResponse) codec(c Coder) Coder {
+	c.Status(&r.Status)
+	c.U64(&r.Segments)
+	c.U64(&r.Records)
+	return c
+}
 
 // ---------------------------------------------------------------------------
 // Health
@@ -937,11 +1157,11 @@ func (r *RecoverMasterResponse) Op() Op        { return OpRecoverMaster }
 // PingRequest checks liveness.
 type PingRequest struct{}
 
-func (r *PingRequest) WireSize() int { return 0 }
-func (r *PingRequest) Op() Op        { return OpPing }
+func (r *PingRequest) Op() Op              { return OpPing }
+func (r *PingRequest) codec(c Coder) Coder { return c }
 
 // PingResponse answers a ping.
 type PingResponse struct{ Status Status }
 
-func (r *PingResponse) WireSize() int { return 1 }
-func (r *PingResponse) Op() Op        { return OpPing }
+func (r *PingResponse) Op() Op              { return OpPing }
+func (r *PingResponse) codec(c Coder) Coder { return statusOnly(c, &r.Status) }

@@ -48,6 +48,28 @@ func TestPooledMarshalZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWireSizeZeroAllocs pins Message.WireSize at zero allocations: the
+// fabric calls it on every delivery, for a point read and for a full Pull
+// batch alike.
+func TestWireSizeZeroAllocs(t *testing.T) {
+	read := &Message{ID: 1, From: 7, To: 8, Op: OpRead,
+		Body: &ReadRequest{Table: 3, Key: []byte("user000000000000000000000042")}}
+	records := make([]Record, 0, 200)
+	for used := 0; used < 20<<10; {
+		r := Record{Table: 3, Version: uint64(len(records) + 1),
+			Key: []byte("user000000000000000000000042"), Value: bytes.Repeat([]byte{'v'}, 100)}
+		records = append(records, r)
+		used += r.WireSize()
+	}
+	pull := &Message{ID: 2, From: 8, To: 7, Op: OpPull, IsResponse: true,
+		Body: &PullResponse{Status: StatusOK, Records: records, ResumeToken: 9}}
+	for name, m := range map[string]*Message{"ReadRequest": read, "PullResponse": pull} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = m.WireSize() }); allocs != 0 {
+			t.Errorf("%s: WireSize allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+}
+
 // TestPooledRoundtripAllocs bounds the full pooled marshal+unmarshal cycle:
 // only the decoded *Message and its body struct are allocated per message.
 func TestPooledRoundtripAllocs(t *testing.T) {
@@ -137,26 +159,56 @@ func TestRecordSlicePoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeCountGuards feeds each length-prefixed decoder a count far larger
+// TestDecodeCountGuards feeds each count-prefixed list a count far larger
 // than the remaining bytes: decoding must fail with ErrTruncated instead of
 // pre-allocating gigabytes for a corrupt frame.
 func TestDecodeCountGuards(t *testing.T) {
 	huge := func() []byte {
-		var e Encoder
-		e.U32(1 << 30)
-		return e.Bytes()
+		e := Coder{mode: encoding}
+		n := uint32(1 << 30)
+		e.U32(&n)
+		return e.buf
 	}
-	cases := map[string]func(d *Decoder){
-		"Records":  func(d *Decoder) { d.Records() },
-		"Blobs":    func(d *Decoder) { d.Blobs() },
-		"U64s":     func(d *Decoder) { d.U64s() },
-		"Statuses": func(d *Decoder) { d.Statuses() },
+	cases := map[string]func(c *Coder){
+		"Records":   func(c *Coder) { c.Records(new([]Record)) },
+		"Blobs":     func(c *Coder) { c.Blobs(new([][]byte)) },
+		"U64s":      func(c *Coder) { c.U64s(new([]uint64)) },
+		"ServerIDs": func(c *Coder) { c.ServerIDs(new([]ServerID)) },
+		"Statuses":  func(c *Coder) { c.Statuses(new([]Status)) },
+		"Chunks":    func(c *Coder) { list(c, new([]ReplicateChunk)) },
+		"Segments":  func(c *Coder) { list(c, new([]BackupSegment)) },
+		"Tablets":   func(c *Coder) { list(c, new([]Tablet)) },
+		"Indexlets": func(c *Coder) { list(c, new([]Indexlet)) },
+		"Heat":      func(c *Coder) { list(c, new([]TabletHeat)) },
 	}
 	for name, decode := range cases {
-		d := NewDecoder(huge())
-		decode(d)
-		if d.Err() == nil {
+		d := Coder{mode: decoding, buf: huge()}
+		decode(&d)
+		if !d.truncated() {
 			t.Fatalf("%s: corrupt count decoded without error", name)
+		}
+	}
+}
+
+// TestCountGuardMinimums pins each list's count-guard minimum, the size of
+// its smallest element, to the wire layout.
+func TestCountGuardMinimums(t *testing.T) {
+	var record Coder
+	record.Record(&Record{})
+	cases := map[string][2]int{
+		"record":   {int(record.n), 25},
+		"chunk":    {minWire[ReplicateChunk](), 25},
+		"segment":  {minWire[BackupSegment](), 21},
+		"tablet":   {minWire[Tablet](), 32},
+		"indexlet": {minWire[Indexlet](), 32},
+		"heat":     {minWire[TabletHeat](), 32},
+	}
+	if minRecordWire != int(record.n) {
+		t.Errorf("minRecordWire %d, smallest record encoding %d", minRecordWire, record.n)
+	}
+	for name, c := range cases {
+		if c[0] != c[1] {
+			t.Errorf("%s: guard minimum %d, want %d", name, c[0], c[1])
 		}
 	}
 }
@@ -164,20 +216,22 @@ func TestDecodeCountGuards(t *testing.T) {
 // TestDecoderAliased verifies the flag the TCP read loop uses to decide
 // whether a frame buffer can be recycled.
 func TestDecoderAliased(t *testing.T) {
-	var e Encoder
-	e.U64(1)
-	e.U64(2)
-	d := NewDecoder(e.Bytes())
-	d.U64()
-	d.U64()
-	if d.Aliased() {
+	a, b := uint64(1), uint64(2)
+	e := Coder{mode: encoding}
+	e.U64(&a)
+	e.U64(&b)
+	d := Coder{mode: decoding, buf: e.buf}
+	d.U64(&a)
+	d.U64(&b)
+	if d.aliased {
 		t.Fatalf("scalar-only decode marked aliased")
 	}
-	e = Encoder{}
-	e.Blob([]byte("payload"))
-	d = NewDecoder(e.Bytes())
-	d.Blob()
-	if !d.Aliased() {
+	payload := []byte("payload")
+	e = Coder{mode: encoding}
+	e.Blob(&payload)
+	d = Coder{mode: decoding, buf: e.buf}
+	d.Blob(&payload)
+	if !d.aliased {
 		t.Fatalf("blob decode not marked aliased")
 	}
 }

@@ -166,8 +166,6 @@ func sampleMessages(rng *rand.Rand) []*Message {
 		&ReplayRecordsResponse{Status: StatusOK},
 		&PullTailRequest{Table: 9, Range: HashRange{1, 2}, AfterEpoch: 7},
 		&PullTailResponse{Status: StatusOK, Records: recs},
-		&ReplicateSegmentRequest{Master: 2, LogID: 1, SegmentID: 17, Offset: 128, Data: rb(), Close: true},
-		&ReplicateSegmentResponse{Status: StatusOK},
 		&ReplicateBatchRequest{Master: 2, Chunks: []ReplicateChunk{
 			{LogID: 0, SegmentID: 17, Offset: 128, Data: rb(), Close: true},
 			{LogID: 0, SegmentID: 18, Data: rb()}}},
@@ -277,6 +275,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 
 func TestUnmarshalTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	envelope := (&Message{}).WireSize()
 	for _, m := range sampleMessages(rng) {
 		buf := MarshalMessage(m)
 		for _, cut := range []int{1, len(buf) / 2, len(buf) - 1} {
@@ -286,7 +285,7 @@ func TestUnmarshalTruncated(t *testing.T) {
 			if _, err := UnmarshalMessage(buf[:cut]); err == nil {
 				// Empty-body messages survive header-only truncation of the
 				// trailing zero-length body; anything else must error.
-				if m.Body != nil && m.Body.WireSize() > 0 && cut < len(buf) {
+				if m.Body != nil && m.WireSize() > envelope && cut < len(buf) {
 					t.Errorf("%v: no error for truncation at %d/%d", m.Op, cut, len(buf))
 				}
 			}
@@ -306,14 +305,40 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
+// TestRetiredOpcodeReserved: opcode 15, the retired single-segment
+// replication RPC, stays reserved. It has no name and no bodies, so its
+// frames (still in the checked-in corpus) fail to decode, and the ops on
+// either side keep their codes.
+func TestRetiredOpcodeReserved(t *testing.T) {
+	const retired = Op(15)
+	if OpDropTablet != retired-1 || OpGetTabletMap != retired+1 {
+		t.Fatalf("opcodes around the reserved slot moved: DropTablet=%d GetTabletMap=%d", OpDropTablet, OpGetTabletMap)
+	}
+	if got := retired.String(); got != "Op(15)" {
+		t.Errorf("retired opcode named %q", got)
+	}
+	for _, resp := range []bool{false, true} {
+		frame := append(MarshalMessage(&Message{ID: 1, Op: retired, IsResponse: resp}), make([]byte, 64)...)
+		if _, err := UnmarshalMessage(frame); err == nil {
+			t.Errorf("retired opcode decoded (response=%v)", resp)
+		}
+	}
+}
+
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(table uint64, version uint64, key, value []byte, tomb bool) bool {
 		r := Record{Table: TableID(table), Version: version, Key: key, Value: value, Tombstone: tomb}
-		e := NewEncoder(nil)
+		var size Coder
+		size.Record(&r)
+		e := Coder{mode: encoding}
 		e.Record(&r)
-		d := NewDecoder(e.Bytes())
-		got := d.Record()
-		if d.Err() != nil {
+		if int(size.n) != len(e.buf) || r.WireSize() != len(e.buf) {
+			return false
+		}
+		d := Coder{mode: decoding, buf: e.buf}
+		var got Record
+		d.Record(&got)
+		if d.truncated() {
 			return false
 		}
 		return got.Table == r.Table && got.Version == r.Version && got.Tombstone == r.Tombstone &&
@@ -326,20 +351,35 @@ func TestRecordRoundTripQuick(t *testing.T) {
 
 func TestEncoderDecoderPrimitivesQuick(t *testing.T) {
 	f := func(a uint8, b uint32, c uint64, blob []byte, vs []uint64) bool {
-		e := NewEncoder(nil)
-		e.U8(a)
-		e.U32(b)
-		e.U64(c)
-		e.Blob(blob)
-		e.U64s(vs)
-		d := NewDecoder(e.Bytes())
-		if d.U8() != a || d.U32() != b || d.U64() != c {
+		fields := func(co *Coder, a *uint8, b *uint32, c *uint64, blob *[]byte, vs *[]uint64) {
+			co.U8(a)
+			co.U32(b)
+			co.U64(c)
+			co.Blob(blob)
+			co.U64s(vs)
+		}
+		var size Coder
+		fields(&size, &a, &b, &c, &blob, &vs)
+		e := Coder{mode: encoding}
+		fields(&e, &a, &b, &c, &blob, &vs)
+		if int(size.n) != len(e.buf) {
 			return false
 		}
-		if !bytes.Equal(d.Blob(), blob) {
+		d := Coder{mode: decoding, buf: e.buf}
+		var (
+			a2    uint8
+			b2    uint32
+			c2    uint64
+			blob2 []byte
+			got   []uint64
+		)
+		fields(&d, &a2, &b2, &c2, &blob2, &got)
+		if a2 != a || b2 != b || c2 != c {
 			return false
 		}
-		got := d.U64s()
+		if !bytes.Equal(blob2, blob) {
+			return false
+		}
 		if len(got) != len(vs) {
 			return false
 		}
@@ -348,7 +388,7 @@ func TestEncoderDecoderPrimitivesQuick(t *testing.T) {
 				return false
 			}
 		}
-		return d.Err() == nil
+		return !d.truncated()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
