@@ -232,3 +232,18 @@ func TestFailIdempotent(t *testing.T) {
 		t.Fatalf("recorded error %v, want first failure", got)
 	}
 }
+
+// TestFailAfterDoneKeepsOutcome: a migration's result is final once done
+// closes. Releasing a finished migration cancels its context, which fails
+// any PriorityPull a client read started during the epilogue; that error
+// must not turn a completed migration into a failed one.
+func TestFailAfterDoneKeepsOutcome(t *testing.T) {
+	m, _ := newManagerRig(t, Options{})
+	g := newMigration(context.Background(), m, 1, wire.FullRange(), 99)
+	close(g.done)
+	g.cancelCause(nil)
+	g.fail(context.Cause(g.ctx))
+	if err := g.Result().Err; err != nil {
+		t.Fatalf("finished migration reports %v", err)
+	}
+}

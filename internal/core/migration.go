@@ -136,6 +136,15 @@ func (g *Migration) fail(err error) {
 	if err == nil {
 		return
 	}
+	select {
+	case <-g.done:
+		// The outcome is final once done closes. Releasing a finished
+		// migration cancels its context, which fails any PriorityPull a
+		// client read started during the epilogue; that error must not
+		// turn a completed migration into a failed one.
+		return
+	default:
+	}
 	e := err
 	g.failure.CompareAndSwap(nil, &e)
 	// Cancelling the migration context wakes everything blocked on
@@ -552,9 +561,11 @@ func (g *Migration) complete() {
 		return
 	}
 	// Replay has quiesced: deletions parked in the hash table during the
-	// migration can leave it.
+	// migration can leave it. The coordinator dropped the dependency at
+	// MigrateDone, so the next migration may already have prepared the
+	// range to move out again; only a still-migrating-in tablet reopens.
 	srv.HashTable().RemoveTombstoneRefs(g.Table, g.Range)
-	srv.SetTabletState(g.Table, g.Range, server.TabletNormal)
+	srv.SetTabletState(g.Table, g.Range, server.TabletMigratingIn, server.TabletNormal)
 }
 
 // completeRetainOwnership is the Figure 9(c) epilogue: freeze the source,

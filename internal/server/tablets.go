@@ -90,34 +90,15 @@ func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
 	return s.ht.RemoveRange(table, rng, func(ref storage.Ref) { s.log.MarkDead(ref) })
 }
 
-// SetTabletState transitions a registered tablet (and any sub-tablets the
-// range covers). Copy-on-write: a reader mid-request keeps routing off the
-// old snapshot; the next request sees the new state.
-func (s *Server) SetTabletState(table wire.TableID, rng wire.HashRange, state TabletState) bool {
-	s.tabletMu.Lock()
-	defer s.tabletMu.Unlock()
-	cur := s.tablets.Load()
-	next := make([]tabletEntry, len(cur.entries))
-	copy(next, cur.entries)
-	found := false
-	for i := range next {
-		t := &next[i]
-		if t.table == table && rng.ContainsRange(t.rng) {
-			t.state = state
-			found = true
-		}
-	}
-	if found {
-		s.tablets.Store(&tabletMap{entries: next})
-	}
-	return found
-}
-
-// abortMigratingOut flips every tablet inside the range still marked
-// migrating-out back to normal service (the AbortMigration handler).
-// Idempotent: when nothing is migrating-out the snapshot is republished
-// unchanged.
-func (s *Server) abortMigratingOut(table wire.TableID, rng wire.HashRange) {
+// SetTabletState moves every tablet the range covers that is in state
+// from to state to. Copy-on-write: a reader mid-request keeps routing off
+// the old snapshot; the next request sees the new state. Tablets in any
+// other state are left alone, so a transition that lost a race cannot undo
+// a newer one: a migration epilogue ending migrating-in must not reopen a
+// range that the next migration has already prepared to move out, and an
+// AbortMigration (idempotent) touches only what is still migrating out.
+// Reports whether any tablet changed.
+func (s *Server) SetTabletState(table wire.TableID, rng wire.HashRange, from, to TabletState) bool {
 	s.tabletMu.Lock()
 	defer s.tabletMu.Unlock()
 	cur := s.tablets.Load()
@@ -126,14 +107,15 @@ func (s *Server) abortMigratingOut(table wire.TableID, rng wire.HashRange) {
 	changed := false
 	for i := range next {
 		t := &next[i]
-		if t.table == table && rng.ContainsRange(t.rng) && t.state == TabletMigratingOut {
-			t.state = TabletNormal
+		if t.table == table && rng.ContainsRange(t.rng) && t.state == from {
+			t.state = to
 			changed = true
 		}
 	}
 	if changed {
 		s.tablets.Store(&tabletMap{entries: next})
 	}
+	return changed
 }
 
 // SplitTablet materializes a boundary at (table, at) in the server's own

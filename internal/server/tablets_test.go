@@ -178,7 +178,7 @@ func TestServerMergeRefusals(t *testing.T) {
 	if srv.MergeTablets(1, 1<<63) {
 		t.Fatal("merged across a state boundary")
 	}
-	if !srv.SetTabletState(1, wire.HashRange{Start: 1 << 63, End: ^uint64(0)}, TabletNormal) {
+	if !srv.SetTabletState(1, wire.HashRange{Start: 1 << 63, End: ^uint64(0)}, TabletMigratingOut, TabletNormal) {
 		t.Fatal("state flip failed")
 	}
 	if !srv.MergeTablets(1, 1<<63) {
@@ -186,5 +186,26 @@ func TestServerMergeRefusals(t *testing.T) {
 	}
 	if got := len(entriesOf(srv, 1)); got != 1 {
 		t.Fatalf("entries after merge: %d", got)
+	}
+}
+
+// TestMigrationEpilogueKeepsNextPrepare: the coordinator drops a
+// migration's lineage dependency before the target finishes its epilogue,
+// so under ping-pong migration the next migration's PrepareMigration can
+// reach that target first. The epilogue's migrating-in → normal step must
+// then leave the range migrating out: reopening it let writes be acked
+// after the next migration had already pulled their keys.
+func TestMigrationEpilogueKeepsNextPrepare(t *testing.T) {
+	srv := newBareServer(t)
+	upper := wire.HashRange{Start: 1 << 63, End: ^uint64(0)}
+	srv.RegisterTablet(1, upper, TabletMigratingIn)
+	if resp := srv.handlePrepareMigration(&wire.PrepareMigrationRequest{Table: 1, Range: upper, Target: 11}); resp.Status != wire.StatusOK {
+		t.Fatalf("prepare: %v", resp.Status)
+	}
+	if srv.SetTabletState(1, upper, TabletMigratingIn, TabletNormal) {
+		t.Error("epilogue transition changed a range prepared to move out")
+	}
+	if state, owned := srv.tabletFor(1, upper.Start); !owned || state != TabletMigratingOut {
+		t.Fatalf("range state %v (owned %v), want migrating-out", state, owned)
 	}
 }
