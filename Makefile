@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check test race vet lint fuzz faults faults-persist stress-write bench bench-scale bench-rebalance bench-durability bins clean
+.PHONY: all build check test race vet lint fuzz faults faults-persist faults-soak stress-write bench bench-scale bench-rebalance bench-durability bins clean
 
 all: build
 
@@ -62,6 +62,30 @@ faults:
 faults-persist:
 	FAULT_PERSIST=1 FAULT_SEEDS=1,7,42 FAULT_RANDOM_SEED=1 $(GO) test -race -count=1 \
 		./internal/cluster/ -run 'TestFaultScenario|TestChaosMigrationsVsOperations'
+
+# faults-soak loops the migration fault scenarios that race the prologue
+# and the epilogue: SOAK_N runs (default 20) of each at -cpu 1, 2 and 4
+# under the race detector, seeds SOAK_SEEDS, printing each scenario's
+# failure rate per core count and in total. The logs of failing runs are
+# kept; their paths are printed.
+SOAK_N ?= 20
+SOAK_SEEDS ?= 1,7,42
+SOAK_SCENARIOS = TestFaultScenarioPrologueResponseLoss TestFaultScenarioSourceCrashMidMigration TestFaultScenarioCoordinatorChurnDuringRebalance
+faults-soak:
+	@dir=$$(mktemp -d) && $(GO) test -race -c -o $$dir/cluster.test ./internal/cluster/ && \
+	for s in $(SOAK_SCENARIOS); do \
+		tfail=0; truns=0; \
+		for cpu in 1 2 4; do \
+			log=$$dir/$$s-cpu$$cpu.log; \
+			FAULT_SEEDS=$(SOAK_SEEDS) $$dir/cluster.test -test.run "^$$s\$$" -test.count $(SOAK_N) \
+				-test.cpu $$cpu -test.v >$$log 2>&1; \
+			fail=$$(grep -c "^--- FAIL: $$s" $$log); pass=$$(grep -c "^--- PASS: $$s" $$log); \
+			printf '%-50s cpu=%d %3d/%d failed\n' $$s $$cpu $$fail $$((fail+pass)); \
+			[ $$fail -gt 0 ] && echo "  log: $$log" || rm -f $$log; \
+			tfail=$$((tfail+fail)); truns=$$((truns+fail+pass)); \
+		done; \
+		printf '%-50s total %3d/%d failed\n' $$s $$tfail $$truns; \
+	done; rm -f $$dir/cluster.test; rmdir $$dir 2>/dev/null || true
 
 # bench runs the RPC hot-path microbenchmarks with allocation reporting and
 # records the machine-readable results in BENCH_hotpath.json.

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"time"
 
 	"rocksteady/internal/bench"
 )
@@ -276,6 +277,8 @@ func runHeadline(p bench.Params) error {
 	}
 	fmt.Println("Headline (§4.2): migration speed and latency impact")
 	fmt.Printf("migration: %d records, %.1f MB/s, %v\n", h.RecordsMigrated, h.MigrationMBps, h.MigrationTime)
+	fmt.Printf("migration phases: prologue %v, transfer %v, epilogue %v\n",
+		h.Prologue.Round(10*time.Microsecond), h.Transfer.Round(10*time.Microsecond), h.Epilogue.Round(10*time.Microsecond))
 	fmt.Printf("%-12s %14s %14s %14s\n", "phase", "median µs", "p99.9 µs", "kops/s")
 	fmt.Printf("%-12s %14.1f %14.1f %14.1f\n", "before", h.MedianBefore, h.P999Before, h.ThroughputBeforeKops)
 	fmt.Printf("%-12s %14.1f %14.1f %14.1f\n", "migrating", h.MedianDuring, h.P999During, h.ThroughputDuringKops)

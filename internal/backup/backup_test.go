@@ -253,11 +253,12 @@ func TestReplicateSegmentsWhole(t *testing.T) {
 	rig := newBackupRig(t, 2, 1)
 	log := storage.NewLog(4096, nil) // side-log style: no streaming
 	sl := log.NewSideLog(7)
-	for i := 0; i < 30; i++ {
-		v := log.NextVersion()
-		if _, err := sl.Append(1, v, []byte(fmt.Sprintf("s%02d", i)), []byte("vv")); err != nil {
-			t.Fatal(err)
-		}
+	recs := make([]wire.Record, 30)
+	for i := range recs {
+		recs[i] = wire.Record{Table: 1, Version: log.NextVersion(), Key: []byte(fmt.Sprintf("s%02d", i)), Value: []byte("vv")}
+	}
+	if _, err := sl.AppendBatch(recs); err != nil {
+		t.Fatal(err)
 	}
 	segs := sl.Segments()
 	if err := rig.repl.ReplicateSegments(context.Background(), segs); err != nil {

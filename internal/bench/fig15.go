@@ -169,27 +169,32 @@ func fig15Target(p Params, valueSize, threads int) (Fig15Point, error) {
 		go func(t int) {
 			defer wg.Done()
 			sl := mainLog.NewSideLog(uint64(100 + t))
+			recs := batches[t]
+			// Replay in Pull-response-sized batches, as the migration does.
+			batchLen := max(1, (20<<10)/recs[0].WireSize())
 			var local int64
-			round := uint64(0)
 			t0 := time.Now()
 			for time.Now().Before(deadline) && local < perThreadBudget {
-				round++
-				for i := range batches[t] {
-					rec := &batches[t][i]
-					// Fresh versions each round so PutIfNewer always
-					// stores (replay of new data, not duplicates).
-					version := rec.Version + round*uint64(perThread+1)
-					ref, err := sl.Append(rec.Table, version, rec.Key, rec.Value)
+				// Fresh versions each round so PutIfNewerBatch always
+				// stores (replay of new data, not duplicates).
+				for i := range recs {
+					recs[i].Version += uint64(perThread + 1)
+				}
+				for lo := 0; lo < len(recs); lo += batchLen {
+					batch := recs[lo:min(lo+batchLen, len(recs))]
+					refs, err := sl.AppendBatch(batch)
 					if err != nil {
 						return
 					}
-					hash := wire.HashKey(rec.Key)
-					if prev, stored := ht.PutIfNewer(rec.Table, rec.Key, hash, ref, version); stored {
-						storage.MarkDeadRef(prev)
-					} else {
-						storage.MarkDeadRef(ref)
+					ht.PutIfNewerBatch(batch, refs)
+					for i := range refs {
+						if refs[i].Stored {
+							storage.MarkDeadRef(refs[i].Prev)
+						} else {
+							storage.MarkDeadRef(refs[i].Ref)
+						}
+						local += int64(batch[i].WireSize())
 					}
-					local += int64(rec.WireSize())
 				}
 			}
 			if el := time.Since(t0).Seconds(); el > 0 {

@@ -11,6 +11,10 @@ type HeadlineResult struct {
 	MigrationMBps   float64
 	MigrationTime   time.Duration
 	RecordsMigrated int64
+	// Migration phase durations (core.Result): where MigrationTime went.
+	Prologue time.Duration
+	Transfer time.Duration
+	Epilogue time.Duration
 
 	// Latencies in microseconds.
 	MedianBefore float64
@@ -38,6 +42,9 @@ func Headline(p Params) (*HeadlineResult, error) {
 		MigrationMBps:   res.Migration.RateMBps(),
 		MigrationTime:   res.Migration.Duration(),
 		RecordsMigrated: res.Migration.RecordsPulled,
+		Prologue:        res.Migration.Prologue,
+		Transfer:        res.Migration.Transfer,
+		Epilogue:        res.Migration.Epilogue,
 	}
 	agg := func(phase string) (med, p999, kops float64) {
 		var n int

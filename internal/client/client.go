@@ -148,21 +148,24 @@ func (c *Client) indexletOf(id wire.IndexID, key []byte) (wire.Indexlet, bool) {
 // backoff tracks retry waits within one operation: it starts at the
 // server's hint ("a few tens of microseconds", §3) and doubles up to
 // maxRetrySleep, bounding the CPU burned by retry storms while keeping
-// the first retry prompt.
+// the first retry prompt. The zero value is ready to use; the retry
+// budget starts at the first sleep, so an operation that never retries
+// never reads the clock.
 type backoff struct {
 	next     time.Duration
 	deadline time.Time
-}
-
-func (c *Client) newBackoff() backoff {
-	return backoff{deadline: time.Now().Add(retryBudget)}
 }
 
 // sleep waits before the next retry; it returns false once the budget is
 // exhausted or ctx is done, so a caller-imposed deadline cuts a retry
 // storm short immediately.
 func (b *backoff) sleep(ctx context.Context, c *Client, hintMicros uint32) bool {
-	if time.Now().After(b.deadline) || ctx.Err() != nil {
+	if now := time.Now(); b.deadline.IsZero() {
+		b.deadline = now.Add(retryBudget)
+	} else if now.After(b.deadline) {
+		return false
+	}
+	if ctx.Err() != nil {
 		return false
 	}
 	if !c.SleepOnRetry {
@@ -197,7 +200,7 @@ func (c *Client) Read(ctx context.Context, table wire.TableID, key []byte) ([]by
 func (c *Client) ReadVersioned(ctx context.Context, table wire.TableID, key []byte) ([]byte, uint64, error) {
 	c.stats.Ops.Add(1)
 	hash := wire.HashKey(key)
-	bo := c.newBackoff()
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		owner, ok := c.ownerOf(table, hash)
 		if !ok {
@@ -212,6 +215,12 @@ func (c *Client) ReadVersioned(ctx context.Context, table wire.TableID, key []by
 		c.stats.RPCs.Add(1)
 		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, &wire.ReadRequest{Table: table, Key: key})
 		if err != nil {
+			// The owner may be down until recovery reassigns its tablets:
+			// wait before re-reading the map rather than spinning through
+			// the attempt budget against the same dead server.
+			if !bo.sleep(ctx, c, 0) {
+				return nil, 0, err
+			}
 			if refreshErr := c.RefreshMap(ctx); refreshErr != nil {
 				return nil, 0, err
 			}
@@ -247,7 +256,7 @@ func (c *Client) ReadVersioned(ctx context.Context, table wire.TableID, key []by
 func (c *Client) Write(ctx context.Context, table wire.TableID, key, value []byte) error {
 	c.stats.Ops.Add(1)
 	hash := wire.HashKey(key)
-	bo := c.newBackoff()
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		owner, ok := c.ownerOf(table, hash)
 		if !ok {
@@ -262,6 +271,9 @@ func (c *Client) Write(ctx context.Context, table wire.TableID, key, value []byt
 		c.stats.RPCs.Add(1)
 		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, &wire.WriteRequest{Table: table, Key: key, Value: value})
 		if err != nil {
+			if !bo.sleep(ctx, c, 0) {
+				return err
+			}
 			if refreshErr := c.RefreshMap(ctx); refreshErr != nil {
 				return err
 			}
@@ -295,7 +307,7 @@ func (c *Client) Write(ctx context.Context, table wire.TableID, key, value []byt
 func (c *Client) Delete(ctx context.Context, table wire.TableID, key []byte) error {
 	c.stats.Ops.Add(1)
 	hash := wire.HashKey(key)
-	bo := c.newBackoff()
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		owner, ok := c.ownerOf(table, hash)
 		if !ok {
@@ -345,7 +357,7 @@ func (c *Client) MultiGet(ctx context.Context, table wire.TableID, keys [][]byte
 	for i := range keys {
 		remaining[i] = i
 	}
-	bo := c.newBackoff()
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts && len(remaining) > 0; attempt++ {
 		// Group outstanding keys by owner.
 		groups := make(map[wire.ServerID][]int)
@@ -379,11 +391,11 @@ func (c *Client) MultiGet(ctx context.Context, table wire.TableID, keys [][]byte
 		}
 		var retryHint uint32
 		var next []int
-		refresh := false
+		refresh, callFailed := false, false
 		for _, p := range calls {
 			reply, err := p.call.Wait()
 			if err != nil {
-				refresh = true
+				refresh, callFailed = true, true
 				next = append(next, p.idxs...)
 				continue
 			}
@@ -415,16 +427,18 @@ func (c *Client) MultiGet(ctx context.Context, table wire.TableID, keys [][]byte
 			}
 		}
 		remaining = next
+		if callFailed || retryHint > 0 {
+			if !bo.sleep(ctx, c, retryHint) {
+				return nil, ErrRetriesExhausted
+			}
+			if retryHint > 0 {
+				attempt--
+			}
+		}
 		if refresh {
 			if err := c.RefreshMap(ctx); err != nil {
 				return nil, err
 			}
-		}
-		if retryHint > 0 {
-			if !bo.sleep(ctx, c, retryHint) {
-				return nil, ErrRetriesExhausted
-			}
-			attempt--
 		}
 	}
 	if len(remaining) > 0 {
@@ -443,6 +457,7 @@ func (c *Client) MultiPut(ctx context.Context, table wire.TableID, keys, values 
 	for i := range keys {
 		remaining[i] = i
 	}
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts && len(remaining) > 0; attempt++ {
 		groups := make(map[wire.ServerID][]int)
 		for _, i := range remaining {
@@ -460,7 +475,7 @@ func (c *Client) MultiPut(ctx context.Context, table wire.TableID, keys, values 
 			continue
 		}
 		var next []int
-		refresh := false
+		refresh, callFailed := false, false
 		for owner, idxs := range groups {
 			req := &wire.MultiPutRequest{
 				Table:  table,
@@ -474,7 +489,7 @@ func (c *Client) MultiPut(ctx context.Context, table wire.TableID, keys, values 
 			c.stats.RPCs.Add(1)
 			reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, req)
 			if err != nil {
-				refresh = true
+				refresh, callFailed = true, true
 				next = append(next, idxs...)
 				continue
 			}
@@ -494,6 +509,9 @@ func (c *Client) MultiPut(ctx context.Context, table wire.TableID, keys, values 
 			}
 		}
 		remaining = next
+		if callFailed && !bo.sleep(ctx, c, 0) {
+			return ErrRetriesExhausted
+		}
 		if refresh {
 			if err := c.RefreshMap(ctx); err != nil {
 				return err
@@ -569,7 +587,7 @@ func (c *Client) IndexScan(ctx context.Context, table wire.TableID, id wire.Inde
 	}
 
 	// Fan out by owning tablet.
-	bo := c.newBackoff()
+	var bo backoff
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		groups := make(map[wire.ServerID][]uint64)
 		stale := false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"rocksteady/internal/client"
 	"rocksteady/internal/cluster"
@@ -184,5 +185,27 @@ func TestClientDeleteFlow(t *testing.T) {
 	}
 	if _, err := cl.Read(context.Background(), table, []byte("k")); err != client.ErrNoSuchKey {
 		t.Fatalf("read deleted: %v", err)
+	}
+}
+
+// TestClientBacksOffOnDeadOwner reads a key whose owner crashed and was
+// never reported: every call fails at once. The client must wait between
+// attempts (the 2 ms backoff cap bounds it to a few dozen RPCs in 50 ms)
+// instead of spending its whole redirect budget against the dead owner.
+func TestClientBacksOffOnDeadOwner(t *testing.T) {
+	c, cl := newTestCluster(t, 1)
+	table, err := cl.CreateTable(context.Background(), "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	before := cl.Stats().RPCs.Load()
+	if _, err := cl.Read(ctx, table, []byte("k")); err == nil {
+		t.Fatal("read from a crashed owner succeeded")
+	}
+	if rpcs := cl.Stats().RPCs.Load() - before; rpcs > 100 {
+		t.Fatalf("%d read RPCs in 50 ms against a dead owner: no backoff between failed calls", rpcs)
 	}
 }

@@ -176,6 +176,15 @@ type Result struct {
 	Started  time.Time
 	Finished time.Time
 
+	// Phase durations. Prologue is PrepareMigration plus the ownership
+	// transfer; Transfer is the Pulls plus the drain of their replay and
+	// of PriorityPulls; Epilogue is the rest: lazy re-replication, side-log
+	// commit, MigrateDone, DropTablet and the tombstone sweep (or the
+	// retain-ownership variant's freeze, tail catch-up and flip).
+	Prologue time.Duration
+	Transfer time.Duration
+	Epilogue time.Duration
+
 	RecordsPulled       int64
 	BytesPulled         int64
 	PullRPCs            int64

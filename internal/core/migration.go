@@ -36,6 +36,14 @@ type Migration struct {
 	sideLogPool chan *storage.SideLog
 	nextSideLog uint64
 
+	// replayMu orders replay against the epilogue: a replay holds it shared
+	// while it uses a side log, and the epilogue takes it exclusively to
+	// close the side logs before it re-replicates and commits them. A
+	// replay that comes later (a PriorityPull for a read that reached the
+	// target during the epilogue) goes to the main log instead.
+	replayMu       sync.RWMutex
+	sideLogsClosed bool
+
 	replayWG sync.WaitGroup
 
 	// ctx governs the whole migration: it inherits the MigrateTablet
@@ -59,8 +67,12 @@ type Migration struct {
 	ppActive   bool
 	ppDrained  *sync.Cond
 
-	started  time.Time
-	finished time.Time
+	// Phase boundaries: started → prologueEnd (begin) → transferEnd (run's
+	// pulls and replay drain) → finished (complete's epilogue).
+	started     time.Time
+	prologueEnd time.Time
+	transferEnd time.Time
+	finished    time.Time
 
 	recordsPulled       atomic.Int64
 	bytesPulled         atomic.Int64
@@ -119,6 +131,9 @@ func (g *Migration) Result() Result {
 	r := Result{
 		Table: g.Table, Range: g.Range, Source: g.Source,
 		Started: g.started, Finished: g.finished,
+		Prologue:            phase(g.started, g.prologueEnd),
+		Transfer:            phase(g.prologueEnd, g.transferEnd),
+		Epilogue:            phase(g.transferEnd, g.finished),
 		RecordsPulled:       g.recordsPulled.Load(),
 		BytesPulled:         g.bytesPulled.Load(),
 		PullRPCs:            g.pullRPCs.Load(),
@@ -130,6 +145,15 @@ func (g *Migration) Result() Result {
 		r.Err = *p
 	}
 	return r
+}
+
+// phase is the length of a phase that ran from start to end, or 0 if it
+// has not both started and ended.
+func phase(start, end time.Time) time.Duration {
+	if start.IsZero() || end.IsZero() {
+		return 0
+	}
+	return end.Sub(start)
 }
 
 func (g *Migration) fail(err error) {
@@ -161,6 +185,7 @@ func (g *Migration) cancel(err error) { g.fail(err) }
 // the worker serving the MigrateTablet RPC.
 func (g *Migration) begin() wire.Status {
 	g.started = time.Now()
+	defer func() { g.prologueEnd = time.Now() }()
 	srv := g.mgr.srv
 
 	// Both prologue RPCs are idempotent (re-preparing an already-prepared
@@ -286,6 +311,7 @@ func (g *Migration) ownershipTransferred() (transferred, known bool) {
 // scoreboard of per-partition Pulls.
 func (g *Migration) run() {
 	defer g.complete()
+	defer func() { g.transferEnd = time.Now() }()
 	if g.opts.DisableBackgroundPulls {
 		// PriorityPull-only mode (Figures 13/14): wait until cancelled or
 		// externally completed; there is no bulk transfer to finish.
@@ -406,6 +432,18 @@ func (g *Migration) takeSideLog() *storage.SideLog {
 	return sl
 }
 
+// closeSideLogs ends side-log replay, waiting out replays that hold a
+// side log, and returns the side logs: nothing appends to them afterwards,
+// so re-replicating and committing them loses no record.
+func (g *Migration) closeSideLogs() []*storage.SideLog {
+	g.replayMu.Lock()
+	g.sideLogsClosed = true
+	g.replayMu.Unlock()
+	g.sideLogMu.Lock()
+	defer g.sideLogMu.Unlock()
+	return append([]*storage.SideLog(nil), g.sideLogs...)
+}
+
 func (g *Migration) returnSideLog(sl *storage.SideLog) {
 	select {
 	case g.sideLogPool <- sl:
@@ -413,82 +451,108 @@ func (g *Migration) returnSideLog(sl *storage.SideLog) {
 	}
 }
 
-// replayRecords incorporates one batch into the target: append to a side
-// log (or the main log under the ablation/retain variants) and link into
-// the hash table with newest-wins semantics. Runs on any idle worker.
+// replayRecords incorporates one batch — one Pull, PriorityPull or tail
+// response — into the target: append it to a side log (or the main log
+// under the ablation/retain variants) and link it into the hash table with
+// newest-wins semantics. Runs on any idle worker.
 func (g *Migration) replayRecords(records []wire.Record) {
-	srv := g.mgr.srv
-	var sl *storage.SideLog
-	useSideLogs := !g.opts.DisableSideLogs && !g.opts.SyncRereplication
-	if useSideLogs {
-		sl = g.takeSideLog()
-		defer g.returnSideLog(sl)
+	sideLogs := !g.opts.DisableSideLogs && !g.opts.SyncRereplication
+	if sideLogs && g.replayToSideLog(records) {
+		return
 	}
-	var n, bytes int64
-	for i := range records {
-		rec := &records[i]
-		if rec.Tombstone {
-			// Deletions (tail catch-up in the retain-ownership variant):
-			// park the tombstone in the hash table so any stale copy of
-			// the record loses the version race.
-			var tref storage.Ref
-			var err error
-			if useSideLogs {
-				tref, err = sl.AppendTombstone(rec.Table, rec.Version, rec.Key)
-			} else {
-				tref, err = srv.Log().AppendTombstone(rec.Table, rec.Version, 0, rec.Key)
-			}
-			if err != nil {
-				g.fail(err)
-				return
-			}
-			hash := wire.HashKey(rec.Key)
-			if prev, stored := srv.HashTable().PutIfNewer(rec.Table, rec.Key, hash, tref, rec.Version); stored {
-				storage.MarkDeadRef(prev)
-			} else {
-				storage.MarkDeadRef(tref)
-			}
-			continue
-		}
-		var ref storage.Ref
-		var err error
-		if useSideLogs {
-			ref, err = sl.Append(rec.Table, rec.Version, rec.Key, rec.Value)
-		} else {
-			// Main-log replay: synchronous re-replication variants need
-			// the records on the replicated log; the side-log ablation
-			// shows the head contention this causes.
-			ref, err = srv.Log().AppendObjectVersion(rec.Table, rec.Version, rec.Key, rec.Value)
-		}
-		if err != nil {
+	refs, err := g.appendMainLog(records)
+	if !g.link(records, refs, err) {
+		return
+	}
+	// Synchronous re-replication makes every batch durable before it
+	// counts; so must a replay that missed the side logs' lazy
+	// re-replication, since the lineage dependency that covered it is
+	// about to drop.
+	if g.opts.SyncRereplication || sideLogs {
+		if err := g.mgr.srv.Replicator().Sync(g.ctx); err != nil {
 			g.fail(err)
-			return
 		}
-		hash := wire.HashKey(rec.Key)
-		if prev, stored := srv.HashTable().PutIfNewer(rec.Table, rec.Key, hash, ref, rec.Version); stored {
-			storage.MarkDeadRef(prev)
-			// Count only records that took effect: a bulk-Pull copy of a
-			// record a PriorityPull already delivered (or a version below a
-			// client write above the ceiling) loses the race here and must
-			// not inflate Records — each version lands at most once, so the
-			// total is deterministic however pulls interleave.
-			n++
-			bytes += int64(rec.WireSize())
-		} else {
+	}
+}
+
+// replayToSideLog replays records into a borrowed side log with one lock
+// hold for the whole batch. It reports false, replaying nothing, once the
+// epilogue has closed the side logs. The ref scratch belongs to the side
+// log, so the side log stays borrowed until link has consumed the refs.
+func (g *Migration) replayToSideLog(records []wire.Record) bool {
+	g.replayMu.RLock()
+	defer g.replayMu.RUnlock()
+	if g.sideLogsClosed {
+		return false
+	}
+	sl := g.takeSideLog()
+	defer g.returnSideLog(sl)
+	refs, err := sl.AppendBatch(records)
+	g.link(records, refs, err)
+	return true
+}
+
+// link inserts the appended records (the prefix refs covers, even when an
+// append error cut the batch short: an entry the hash table never
+// references would be counted live forever) into the hash table, settles
+// the live-byte accounting and the migration's counters, and fails the
+// migration on an append error. It reports whether the batch was whole.
+func (g *Migration) link(records []wire.Record, refs []storage.ReplayRef, err error) bool {
+	g.mgr.srv.HashTable().PutIfNewerBatch(records[:len(refs)], refs)
+	var n, bytes int64
+	for i := range refs {
+		r := &refs[i]
+		if !r.Stored {
 			// A newer-or-equal version beat us here (a client write above
 			// the ceiling, or a PriorityPull'd copy): the replayed bytes are
 			// immediately dead.
-			storage.MarkDeadRef(ref)
+			storage.MarkDeadRef(r.Ref)
+			continue
 		}
-	}
-	if g.opts.SyncRereplication {
-		if err := srv.Replicator().Sync(g.ctx); err != nil {
-			g.fail(err)
-			return
+		storage.MarkDeadRef(r.Prev)
+		// Count only objects that took effect: a bulk-Pull copy of a
+		// record a PriorityPull already delivered loses the race above and
+		// must not inflate Records — each version lands at most once, so
+		// the total is deterministic however pulls interleave. Tombstones
+		// (deletions in the retain-ownership tail) park in the hash table
+		// so any stale copy loses the version race, but move no data.
+		if !records[i].Tombstone {
+			n++
+			bytes += int64(records[i].WireSize())
 		}
 	}
 	g.recordsPulled.Add(n)
 	g.bytesPulled.Add(bytes)
+	if err != nil {
+		g.fail(err)
+		return false
+	}
+	return true
+}
+
+// appendMainLog is the replay append of the variants that bypass side
+// logs, and of replays that arrive after the epilogue closed them.
+// Synchronous re-replication needs the records on the replicated main log,
+// and the side-log ablation exists to show the per-record head contention
+// this causes, so it appends record by record.
+func (g *Migration) appendMainLog(records []wire.Record) ([]storage.ReplayRef, error) {
+	log := g.mgr.srv.Log()
+	refs := make([]storage.ReplayRef, 0, len(records))
+	for i := range records {
+		rec := &records[i]
+		var ref storage.Ref
+		var err error
+		if rec.Tombstone {
+			ref, err = log.AppendTombstone(rec.Table, rec.Version, 0, rec.Key)
+		} else {
+			ref, err = log.AppendObjectVersion(rec.Table, rec.Version, rec.Key, rec.Value)
+		}
+		if err != nil {
+			return refs, err
+		}
+		refs = append(refs, storage.ReplayRef{Ref: ref})
+	}
+	return refs, nil
 }
 
 // complete runs the migration epilogue: lazy re-replication of side logs,
@@ -527,9 +591,7 @@ func (g *Migration) complete() {
 
 	// Lazy re-replication: only now do the pulled records reach backups,
 	// and only then does the lineage dependency drop (§3.4).
-	g.sideLogMu.Lock()
-	sideLogs := append([]*storage.SideLog(nil), g.sideLogs...)
-	g.sideLogMu.Unlock()
+	sideLogs := g.closeSideLogs()
 	var segs []*storage.Segment
 	for _, sl := range sideLogs {
 		segs = append(segs, sl.Segments()...)

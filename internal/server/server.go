@@ -720,13 +720,12 @@ func (s *Server) handlePrepareMigration(req *wire.PrepareMigrationRequest) *wire
 		// the boundary materializes exactly now — never earlier.
 		s.RegisterTablet(req.Table, req.Range, TabletMigratingOut)
 	}
-	count, bytes := s.ht.CountRange(req.Table, req.Range)
+	// No scan of the range: ownership moves in O(1) (§3), and the target
+	// learns the range's size from the Pulls themselves.
 	return &wire.PrepareMigrationResponse{
 		Status:         wire.StatusOK,
 		VersionCeiling: s.log.CurrentVersion(),
 		NumBuckets:     s.ht.NumBuckets(),
-		RecordCount:    count,
-		ByteCount:      bytes,
 		// Epoch watermark: every write that could land after this reply
 		// carries a larger epoch, on any shard head. The target's PullTail
 		// uses it to catch up on exactly the writes that raced migration.

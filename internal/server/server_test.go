@@ -97,7 +97,7 @@ func TestServerMigratingOutRejectsClientOps(t *testing.T) {
 	r.call(t, &wire.WriteRequest{Table: 1, Key: []byte("k"), Value: []byte("v")})
 
 	prep := r.call(t, &wire.PrepareMigrationRequest{Table: 1, Range: wire.FullRange(), Target: 11}).(*wire.PrepareMigrationResponse)
-	if prep.Status != wire.StatusOK || prep.RecordCount != 1 || prep.VersionCeiling == 0 {
+	if prep.Status != wire.StatusOK || prep.VersionCeiling == 0 {
 		t.Fatalf("prepare: %+v", prep)
 	}
 	rd := r.call(t, &wire.ReadRequest{Table: 1, Key: []byte("k")}).(*wire.ReadResponse)

@@ -74,9 +74,14 @@ func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state Ta
 	s.tablets.Store(&tabletMap{entries: next})
 }
 
-// DropTablet forgets (table, rng) and discards its records.
+// DropTablet forgets (table, rng) and discards its records. The sweep of
+// the records runs under tabletMu, so registering the range again waits
+// for it: the next migration into this server (the reverse of the one that
+// sent the drop) can otherwise register, pull and replay records into
+// buckets the sweep has not reached yet, and lose them to it.
 func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
 	s.tabletMu.Lock()
+	defer s.tabletMu.Unlock()
 	cur := s.tablets.Load()
 	kept := make([]tabletEntry, 0, len(cur.entries))
 	for _, t := range cur.entries {
@@ -86,7 +91,6 @@ func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
 		kept = append(kept, t)
 	}
 	s.tablets.Store(&tabletMap{entries: kept})
-	s.tabletMu.Unlock()
 	return s.ht.RemoveRange(table, rng, func(ref storage.Ref) { s.log.MarkDead(ref) })
 }
 

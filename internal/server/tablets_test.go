@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -207,5 +208,59 @@ func TestMigrationEpilogueKeepsNextPrepare(t *testing.T) {
 	}
 	if state, owned := srv.tabletFor(1, upper.Start); !owned || state != TabletMigratingOut {
 		t.Fatalf("range state %v (owned %v), want migrating-out", state, owned)
+	}
+}
+
+// TestDropTabletSweepBlocksReregistration registers a range again while a
+// DropTablet of it is still sweeping, the way the next migration into a
+// server can follow the drop its previous migration sent, and links a
+// record into the bucket the sweep reaches last. Registration must wait
+// for the sweep, so the record survives it.
+func TestDropTabletSweepBlocksReregistration(t *testing.T) {
+	f := transport.NewFabric(transport.FabricConfig{})
+	s := New(Config{ID: 10, Workers: 2, HashTableCapacity: 1 << 22}, f.Attach(10))
+	t.Cleanup(s.Close)
+	rng := wire.FullRange()
+	s.RegisterTablet(1, rng, TabletMigratingOut)
+	for i := 0; i < 1000; i++ {
+		key := []byte(fmt.Sprintf("old-%04d", i))
+		ref, _, err := s.log.AppendObject(1, key, []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ht.Put(1, key, wire.HashKey(key), ref)
+	}
+	// A key in the range's last bucket: the sweep gets there last.
+	var key []byte
+	for i := 0; ; i++ {
+		key = []byte(fmt.Sprintf("new-%d", i))
+		if s.ht.BucketOf(wire.HashKey(key)) == s.ht.NumBuckets()-1 {
+			break
+		}
+	}
+
+	dropped := make(chan struct{})
+	go func() {
+		defer close(dropped)
+		s.DropTablet(1, rng)
+	}()
+	for { // the registry change comes first, then the sweep
+		if _, owned := s.tabletFor(1, 0); !owned {
+			break
+		}
+		runtime.Gosched()
+	}
+	s.RegisterTablet(1, rng, TabletMigratingIn)
+	ref, err := s.log.AppendObjectVersion(1, 1, key, []byte("replayed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ht.PutIfNewer(1, key, wire.HashKey(key), ref, 1)
+	<-dropped
+	if _, ok := s.ht.Get(1, key, wire.HashKey(key)); !ok {
+		t.Fatal("a record linked after re-registration was swept by the earlier drop")
+	}
+	if st, owned := s.tabletFor(1, 0); !owned || st != TabletMigratingIn {
+		t.Fatalf("re-registered range: state %v owned %v", st, owned)
 	}
 }

@@ -208,20 +208,10 @@ func (l *Log) AppendW(w int, typ EntryType, table wire.TableID, version, aux uin
 		sh.mu.Unlock()
 		return Ref{}, ErrLogClosed
 	}
-	if sh.head == nil || !sh.head.hasRoom(size) {
-		if sh.head != nil {
-			sh.head.seal()
-			if l.onAppend != nil {
-				l.onAppend(AppendEvent{LogID: l.ID, SegmentID: sh.head.ID, Offset: sh.head.Len(), Sealed: true})
-			}
-		}
-		seg := newSegment(l.nextSegID.Add(1), l.ID, l.segSize)
-		l.segMu.Lock()
-		l.segments[seg.ID] = seg
-		l.segMu.Unlock()
-		sh.head = seg
-	}
 	seg := sh.head
+	if seg == nil || !seg.hasRoom(size) {
+		seg = l.rollHeadLocked(sh)
+	}
 	h.Epoch = l.epochCounter.Add(1)
 	off := seg.appendEntry(&h, key, value)
 	seg.addLive(size)
@@ -242,6 +232,23 @@ func (l *Log) AppendW(w int, typ EntryType, table wire.TableID, version, aux uin
 	}
 	sh.mu.Unlock()
 	return Ref{Seg: seg, Off: off}, nil
+}
+
+// rollHeadLocked seals sh's head segment, if any, and opens a fresh one:
+// the next entry does not fit. Callers hold sh.mu.
+func (l *Log) rollHeadLocked(sh *logShard) *Segment {
+	if sh.head != nil {
+		sh.head.seal()
+		if l.onAppend != nil {
+			l.onAppend(AppendEvent{LogID: l.ID, SegmentID: sh.head.ID, Offset: sh.head.Len(), Sealed: true})
+		}
+	}
+	seg := newSegment(l.nextSegID.Add(1), l.ID, l.segSize)
+	l.segMu.Lock()
+	l.segments[seg.ID] = seg
+	l.segMu.Unlock()
+	sh.head = seg
+	return seg
 }
 
 // AppendObject writes an object entry with a freshly assigned version.
@@ -412,23 +419,75 @@ type SideLog struct {
 	parent    *Log
 	log       *Log
 	committed bool
+
+	// refs is AppendBatch's result scratch. A side log is borrowed by one
+	// replay task at a time, so the scratch is too, and a batch's replay
+	// allocates nothing once it has grown to the largest batch seen.
+	refs []ReplayRef
 }
 
-// Append writes an object entry with a caller-chosen version into the side
-// log.
-func (s *SideLog) Append(table wire.TableID, version uint64, key, value []byte) (Ref, error) {
-	if s.committed {
-		return Ref{}, errors.New("storage: append to committed side log")
-	}
-	return s.log.AppendObjectVersion(table, version, key, value)
+// ReplayRef is one record's place in a replayed batch: the ref its
+// side-log entry got from AppendBatch, and the outcome PutIfNewerBatch
+// records for it — whether it was stored, and the ref it replaced.
+type ReplayRef struct {
+	Ref    Ref
+	Prev   Ref
+	Stored bool
 }
 
-// AppendTombstone writes a tombstone into the side log (replay of deletes).
-func (s *SideLog) AppendTombstone(table wire.TableID, version uint64, key []byte) (Ref, error) {
+// AppendBatch appends one entry per record, in order: an object entry
+// with the record's version, or a tombstone for a record marked Tombstone.
+// It takes the side log's head lock once for the whole batch; each entry
+// still draws its own epoch from the master-wide counter, and the log's
+// statistics are updated once. The returned slice holds one ReplayRef per
+// appended record, with Ref set; it is the side log's scratch, valid until
+// the next AppendBatch. On error the slice covers the records appended
+// before it.
+func (s *SideLog) AppendBatch(recs []wire.Record) ([]ReplayRef, error) {
 	if s.committed {
-		return Ref{}, errors.New("storage: append to committed side log")
+		return nil, errors.New("storage: append to committed side log")
 	}
-	return s.log.AppendTombstone(table, version, 0, key)
+	if cap(s.refs) < len(recs) {
+		s.refs = make([]ReplayRef, len(recs))
+	}
+	refs := s.refs[:len(recs)]
+	l := s.log
+	sh := &l.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if l.closed.Load() {
+		return nil, ErrLogClosed
+	}
+	var err error
+	total := 0
+	n := 0
+	for ; n < len(recs); n++ {
+		rec := &recs[n]
+		h := EntryHeader{Type: EntryObject, Table: rec.Table, Version: rec.Version}
+		value := rec.Value
+		if rec.Tombstone {
+			h.Type, value = EntryTombstone, nil
+		}
+		size := EntrySize(len(rec.Key), len(value))
+		if size > l.segSize {
+			err = errors.New("storage: entry exceeds segment size")
+			break
+		}
+		seg := sh.head
+		if seg == nil || !seg.hasRoom(size) {
+			seg = l.rollHeadLocked(sh)
+		}
+		h.Epoch = l.epochCounter.Add(1)
+		off := seg.appendEntry(&h, rec.Key, value)
+		seg.addLive(size)
+		refs[n] = ReplayRef{Ref: Ref{Seg: seg, Off: off}}
+		total += size
+	}
+	l.appended.Add(uint64(total))
+	l.stats.EntryCount.Add(int64(n))
+	l.stats.LiveBytes.Add(int64(total))
+	l.stats.AppendedBytes.Add(int64(total))
+	return refs[:n], err
 }
 
 // ID returns the side log's log ID.

@@ -148,6 +148,15 @@ func TestLogAppendEvents(t *testing.T) {
 	}
 }
 
+// appendSide appends one object to a side log as a one-record batch.
+func appendSide(sl *SideLog, table wire.TableID, version uint64, key, value []byte) (Ref, error) {
+	refs, err := sl.AppendBatch([]wire.Record{{Table: table, Version: version, Key: key, Value: value}})
+	if err != nil {
+		return Ref{}, err
+	}
+	return refs[0].Ref, nil
+}
+
 func TestSideLogCommit(t *testing.T) {
 	main := NewLog(512, nil)
 	if _, _, err := main.AppendObject(1, []byte("main-key"), []byte("v")); err != nil {
@@ -156,7 +165,7 @@ func TestSideLogCommit(t *testing.T) {
 	sl := main.NewSideLog(7)
 	for i := 0; i < 30; i++ {
 		v := main.NextVersion()
-		if _, err := sl.Append(1, v, []byte(fmt.Sprintf("side-%d", i)), []byte("sv")); err != nil {
+		if _, err := appendSide(sl, 1, v, []byte(fmt.Sprintf("side-%d", i)), []byte("sv")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +205,7 @@ func TestSideLogCommit(t *testing.T) {
 	if err := sl.Commit(); err != nil {
 		t.Errorf("second commit errored: %v", err)
 	}
-	if _, err := sl.Append(1, main.NextVersion(), []byte("late"), nil); err == nil {
+	if _, err := appendSide(sl, 1, main.NextVersion(), []byte("late"), nil); err == nil {
 		t.Error("append after commit succeeded")
 	}
 }
@@ -207,11 +216,11 @@ func TestSideLogSegmentIDsUnique(t *testing.T) {
 	b := main.NewSideLog(101)
 	for i := 0; i < 20; i++ {
 		v := main.NextVersion()
-		if _, err := a.Append(1, v, []byte(fmt.Sprintf("a%d", i)), bytes.Repeat([]byte("p"), 40)); err != nil {
+		if _, err := appendSide(a, 1, v, []byte(fmt.Sprintf("a%d", i)), bytes.Repeat([]byte("p"), 40)); err != nil {
 			t.Fatal(err)
 		}
 		v = main.NextVersion()
-		if _, err := b.Append(1, v, []byte(fmt.Sprintf("b%d", i)), bytes.Repeat([]byte("q"), 40)); err != nil {
+		if _, err := appendSide(b, 1, v, []byte(fmt.Sprintf("b%d", i)), bytes.Repeat([]byte("q"), 40)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := main.AppendObject(1, []byte(fmt.Sprintf("m%d", i)), nil); err != nil {
@@ -242,7 +251,7 @@ func TestConcurrentSideLogAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				v := main.NextVersion()
-				if _, err := sls[w].Append(1, v, []byte(fmt.Sprintf("w%d-%d", w, i)), []byte("v")); err != nil {
+				if _, err := appendSide(sls[w], 1, v, []byte(fmt.Sprintf("w%d-%d", w, i)), []byte("v")); err != nil {
 					t.Error(err)
 					return
 				}

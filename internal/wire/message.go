@@ -367,10 +367,6 @@ type PrepareMigrationResponse struct {
 	// NumBuckets is the source hash table's bucket count; Pull resume
 	// tokens index into it.
 	NumBuckets uint64
-	// RecordCount and ByteCount estimate migration size for progress and
-	// benchmarks.
-	RecordCount uint64
-	ByteCount   uint64
 	// TailWatermark is the source's append-epoch watermark at preparation
 	// time: every write the source accepts afterwards carries a larger
 	// epoch. The retain-ownership catch-up pulls only entries above it.
@@ -382,8 +378,6 @@ func (r *PrepareMigrationResponse) codec(c Coder) Coder {
 	c.Status(&r.Status)
 	c.U64(&r.VersionCeiling)
 	c.U64(&r.NumBuckets)
-	c.U64(&r.RecordCount)
-	c.U64(&r.ByteCount)
 	c.U64(&r.TailWatermark)
 	return c
 }
